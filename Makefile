@@ -86,7 +86,10 @@ bench-engine:
 # Escape-analysis guard for the engine hot path: the per-literal helpers on
 # the propagation wave (CSR row lookup, transition marking, literal value
 # lookup, heap re-insert on backtrack) must stay inlinable, and the batched
-# delta flush must stay allocation-free. The obs alloc-regression tests pin
+# delta flush must stay allocation-free. The LP workspace gets the same
+# guard: the tableau row helpers must inline, and nothing in
+# internal/lp/workspace.go may escape (its buffers are allocated only in
+# alloc.go). The obs alloc-regression tests pin
 # the complementary runtime guarantee (0 allocs/op across a full wave); this
 # catches the same regressions at compile time with a file:line pointer.
 escape-check:
@@ -110,7 +113,15 @@ escape-check:
 	for fn in 'violation' 'objViolation' '(*solver).removeUnsat' '(*solver).bumpWeights'; do \
 		echo "$$lsout" | grep -qF "can inline $$fn" || { echo "escape-check: ls $$fn is no longer inlinable"; exit 1; }; \
 	done; \
-	echo "escape-check: hot-path inlining + alloc-free delta flush + cut-probe + ls flip-loop helpers OK"
+	lpout=$$($(GO) build -gcflags='-m' ./internal/lp 2>&1); \
+	for fn in 'subRow' 'scaleRow' '(*simplex).row'; do \
+		echo "$$lpout" | grep -qF "can inline $$fn" || { echo "escape-check: lp $$fn is no longer inlinable"; exit 1; }; \
+	done; \
+	if echo "$$lpout" | grep 'workspace\.go' | grep -qE 'escapes to heap|moved to heap'; then \
+		echo "escape-check: allocation escaped onto the LP workspace path:"; \
+		echo "$$lpout" | grep 'workspace\.go' | grep -E 'escapes to heap|moved to heap'; exit 1; \
+	fi; \
+	echo "escape-check: hot-path inlining + alloc-free delta flush + cut-probe + ls flip-loop + LP workspace helpers OK"
 
 # Cooperative-portfolio benchmarks: every member proving the optimum with and
 # without the sharing board (total conflicts/decisions across members), the

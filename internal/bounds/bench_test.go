@@ -35,10 +35,10 @@ func benchProblem(n, m int, seed int64) *pb.Problem {
 // engine, invoking visit at every node (the point where the search would
 // build the reduced problem). Both reduction benchmarks replay the identical
 // walk, so the only measured difference is the reduction strategy.
-func nodeWalk(b *testing.B, e *engine.Engine, seed int64, visit func()) {
+func nodeWalk(tb testing.TB, e *engine.Engine, seed int64, visit func()) {
 	rng := rand.New(rand.NewSource(seed))
 	if e.SeedUnits() < 0 || e.Propagate() >= 0 {
-		b.Fatal("bench instance conflicts at the root")
+		tb.Fatal("bench instance conflicts at the root")
 	}
 	for step := 0; step < 400; step++ {
 		if rng.Intn(12) == 0 && e.DecisionLevel() > 0 {
@@ -55,7 +55,7 @@ func nodeWalk(b *testing.B, e *engine.Engine, seed int64, visit func()) {
 		e.Decide(pb.MkLit(v, rng.Intn(4) != 0))
 		if e.Propagate() >= 0 {
 			if e.DecisionLevel() == 0 {
-				b.Fatal("bench instance infeasible")
+				tb.Fatal("bench instance infeasible")
 			}
 			e.BacktrackTo(e.DecisionLevel() - 1)
 		}

@@ -496,24 +496,31 @@ func TestCompletionCapClampsOverRound(t *testing.T) {
 		Degree: 1,
 	}}}
 	cost := []int64{3, 5}
-	c, ok := completionCap(red, cost, map[pb.Var]bool{0: true})
+	xp := toXSpace(red, cost)
+	// minimizer builds the α vector whose Lagrangian minimizer (x_v = 1 iff
+	// α_v < 0) sets exactly the variables in ones.
+	minimizer := func(ones ...pb.Var) []float64 {
+		alpha := make([]float64, len(xp.vars))
+		for j, v := range xp.vars {
+			alpha[j] = 1
+			for _, o := range ones {
+				if v == o {
+					alpha[j] = -1
+				}
+			}
+		}
+		return alpha
+	}
+	c, ok := completionCap(red, cost, xp, minimizer(0))
 	if !ok || c != 3 {
 		t.Fatalf("completionCap=%d,%v want 3,true", c, ok)
 	}
 	// An infeasible candidate (all-false violates the row) yields no cap.
-	if _, ok := completionCap(red, cost, map[pb.Var]bool{}); ok {
+	if _, ok := completionCap(red, cost, xp, minimizer()); ok {
 		t.Fatal("infeasible candidate must not produce a cap")
 	}
 
-	xp := toXSpace(red, cost)
-	alpha := make([]float64, len(xp.vars))
-	for j, v := range xp.vars {
-		if v == 0 {
-			alpha[j] = -1 // minimizer sets x0=1
-		} else {
-			alpha[j] = 1
-		}
-	}
+	alpha := minimizer(0) // minimizer sets x0=1
 	if got := capToCompletion(4, xp, red, cost, alpha); got != 3 {
 		t.Fatalf("capToCompletion(4)=%d want clamp to the feasible completion cost 3", got)
 	}

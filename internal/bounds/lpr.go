@@ -82,8 +82,16 @@ func (l LPR) Estimate(e *engine.Engine, red *Reduced, cost []int64, target int64
 	// fault point "lpr.solve": tests inject panics/delays here to exercise
 	// the search's panic recovery, MIS fallback and circuit breaker.
 	fault.Fire("lpr.solve")
-	xp := toXSpace(red, cost)
-	inst := installCuts(e, xp, l.Cuts, cost)
+	// With a State, the estimation works in the state's memory (reused node
+	// to node); without one, in fresh memory — the cold oracle path.
+	sc := &lprScratch{}
+	if l.State != nil {
+		sc = l.State.work()
+	}
+	xp := &sc.xp
+	xp.load(red, cost)
+	inst := &sc.inst
+	inst.install(e, xp, l.Cuts, cost)
 	if inst.infeasible {
 		// A residualized pooled cut is unsatisfiable even with every
 		// unassigned literal true: the node is hopeless, and the cut's false
@@ -92,7 +100,7 @@ func (l LPR) Estimate(e *engine.Engine, red *Reduced, cost []int64, target int64
 		return Result{Bound: InfBound, ResponsibleLits: inst.infeasibleLits}
 	}
 
-	sol, err := l.solveDual(xp, inst, &bud)
+	sol, err := l.solveDual(sc, inst, &bud)
 	if err != nil {
 		// Malformed LP (should not happen for Extract output): report a
 		// failed call so the ladder can fall back rather than silently
@@ -107,7 +115,7 @@ func (l LPR) Estimate(e *engine.Engine, red *Reduced, cost []int64, target int64
 			if depth == 0 {
 				rounds = l.Cuts.MaxRounds() // root: separate to a fixpoint
 			}
-			sol = l.separationRounds(e, red, xp, inst, cost, sol, &bud, rounds)
+			sol = l.separationRounds(e, red, sc, cost, sol, &bud, rounds)
 			if inst.infeasible {
 				return Result{Bound: InfBound, ResponsibleLits: inst.infeasibleLits}
 			}
@@ -145,6 +153,9 @@ func (l LPR) Estimate(e *engine.Engine, red *Reduced, cost []int64, target int64
 		// minimizer is a feasible completion: a rounded bound above a known
 		// feasible completion is a provable float over-round (see completionCap).
 		res.Bound = capToCompletion(res.Bound, xp, red, cost, alpha)
+		if len(s) > 0 {
+			res.Responsible = make([]int, 0, len(s))
+		}
 		for _, i := range s {
 			if i < inst.m0 {
 				res.Responsible = append(res.Responsible, xp.rows[i].engIdx)
@@ -182,7 +193,11 @@ func (l LPR) Estimate(e *engine.Engine, red *Reduced, cost []int64, target int64
 		}
 		if sol.Status == lp.Optimal {
 			// Primal x values are the duals of the dual rows.
-			res.FracX = make(map[pb.Var]float64, n)
+			if sc.fracX == nil {
+				sc.fracX = make(map[pb.Var]float64, n)
+			}
+			clear(sc.fracX)
+			res.FracX = sc.fracX
 			for j, v := range xp.vars {
 				x := sol.Dual[j]
 				if x < 0 {
@@ -202,71 +217,114 @@ func (l LPR) Estimate(e *engine.Engine, red *Reduced, cost []int64, target int64
 	}
 }
 
-// solveDual builds and solves the dual LP of the current x-space problem
-// (problem rows and installed cut rows alike become y columns). Warm keys
-// use two tag bits so the three key spaces stay disjoint: y rows by engine
-// index (tag 0), w columns and LP rows by variable (tag 1), cut y columns by
-// pool id (tag 2) — pool ids are never reused, so a basis never misbinds to
-// a different cut after eviction.
-func (l LPR) solveDual(xp *xProblem, inst *cutInstall, bud *Budget) (lp.Solution, error) {
+// dualLP is the memory the dual LP is built in: the lp.Problem with its
+// cost, bound and row slices, one arena for every row's entries, and the
+// warm-start keys.
+type dualLP struct {
+	prob    lp.Problem
+	entries []lp.Entry
+	next    []int // per dual row: entry count, then next free arena slot
+	varKeys []int64
+	rowKeys []int64
+}
+
+// build writes the dual of xp's LP into d (problem rows and installed cut
+// rows alike become y columns):
+//
+//	min −d·y + Σ_j w_j  s.t.  w_j − Σ_i G_ij·y_i ≥ −c_j,  y, w ≥ 0.
+//
+// Warm keys: y columns by 2·engine index, w columns by 2·var+1 (both
+// direct-addressed by the LP workspace), cut y columns by ^pool id (a
+// negative, sparse key — pool ids are never reused, so a basis never
+// misbinds to a different cut after eviction), rows by var.
+func (d *dualLP) build(xp *xProblem, inst *cutInstall) *lp.Problem {
 	m, n := len(xp.rows), len(xp.vars)
-	maxIter := l.MaxIter
-	if maxIter == 0 {
-		maxIter = 4*(m+n) + 200
-	}
-	prob := &lp.Problem{
-		NumVars:  m + n,
-		Cost:     make([]float64, m+n),
-		Rows:     make([]lp.Row, n),
-		Lo:       make([]float64, m+n),
-		Hi:       make([]float64, m+n),
-		MaxIter:  maxIter,
-		Deadline: bud.Deadline, // per-node bound budget reaches the simplex
-	}
-	for i := range prob.Hi {
-		prob.Hi[i] = math.Inf(1)
+	p := &d.prob
+	p.NumVars = m + n
+	p.Cost = fit(p.Cost, m+n)
+	p.Lo = fit(p.Lo, m+n)
+	p.Hi = fit(p.Hi, m+n)
+	clear(p.Lo)
+	inf := math.Inf(1)
+	for i := range p.Hi {
+		p.Hi[i] = inf
 	}
 	for i, xr := range xp.rows {
-		prob.Cost[i] = -xr.rhs // minimize −d·y
+		p.Cost[i] = -xr.rhs // minimize −d·y
 	}
 	for j := 0; j < n; j++ {
-		prob.Cost[m+j] = 1 // + Σ w_j
-		prob.Rows[j] = lp.Row{
-			RHS:     -xp.cost[j],
-			Entries: []lp.Entry{{Var: m + j, Coef: 1}},
+		p.Cost[m+j] = 1 // + Σ w_j
+	}
+	// Dual row j holds w_j's unit entry, then −G_ij for every row i that
+	// mentions x_j, in row order: count, lay the rows out in one arena,
+	// scatter.
+	next := fit(d.next, n)
+	d.next = next
+	for j := range next {
+		next[j] = 1
+	}
+	for _, xr := range xp.rows {
+		for _, en := range xr.entries {
+			next[en.local]++
 		}
+	}
+	total := 0
+	for _, c := range next {
+		total += c
+	}
+	ents := fit(d.entries, total)
+	d.entries = ents
+	p.Rows = fit(p.Rows, n)
+	off := 0
+	for j := 0; j < n; j++ {
+		c := next[j]
+		ents[off] = lp.Entry{Var: m + j, Coef: 1}
+		p.Rows[j] = lp.Row{RHS: -xp.cost[j], Entries: ents[off : off+c : off+c]}
+		next[j] = off + 1
+		off += c
 	}
 	for i, xr := range xp.rows {
 		for _, en := range xr.entries {
-			prob.Rows[en.local].Entries = append(prob.Rows[en.local].Entries,
-				lp.Entry{Var: i, Coef: -en.coef})
+			ents[next[en.local]] = lp.Entry{Var: i, Coef: -en.coef}
+			next[en.local]++
 		}
 	}
+
+	d.varKeys = fit(d.varKeys, m+n)
+	for i, xr := range xp.rows {
+		if xr.engIdx >= 0 {
+			d.varKeys[i] = 2 * int64(xr.engIdx)
+		} else {
+			d.varKeys[i] = ^inst.ids[i-inst.m0]
+		}
+	}
+	d.rowKeys = fit(d.rowKeys, n)
+	for j, v := range xp.vars {
+		d.varKeys[m+j] = 2*int64(v) + 1
+		d.rowKeys[j] = int64(v)
+	}
+	return p
+}
+
+// solveDual builds and solves the dual LP of the current x-space problem.
+// With a State the solve is warm-started from, and snapshots into, the
+// state's basis.
+func (l LPR) solveDual(sc *lprScratch, inst *cutInstall, bud *Budget) (lp.Solution, error) {
+	xp := &sc.xp
+	m, n := len(xp.rows), len(xp.vars)
+	prob := sc.dual.build(xp, inst)
+	prob.MaxIter = l.MaxIter
+	if prob.MaxIter == 0 {
+		prob.MaxIter = 4*(m+n) + 200
+	}
+	prob.Deadline = bud.Deadline // per-node bound budget reaches the simplex
 
 	st := l.State
 	if st == nil {
 		return lp.Solve(prob)
 	}
-	// Warm path: identify LP columns and rows by search-stable keys so the
-	// previous solve's basis maps onto this (re-numbered) problem.
-	varKeys := make([]int64, m+n)
-	for i, xr := range xp.rows {
-		if xr.engIdx >= 0 {
-			varKeys[i] = int64(xr.engIdx) << 2
-		} else {
-			varKeys[i] = int64(inst.ids[i-inst.m0])<<2 | 2
-		}
-	}
-	for j, v := range xp.vars {
-		varKeys[m+j] = int64(v)<<2 | 1
-	}
-	rowKeys := make([]int64, n)
-	for j, v := range xp.vars {
-		rowKeys[j] = int64(v)
-	}
-	hadBasis := st.basis != nil
-	sol, next, err := lp.SolveWarm(prob, varKeys, rowKeys, st.basis)
-	st.basis = next
+	hadBasis := st.HasBasis()
+	sol, err := sc.ws.SolveWarm(prob, sc.dual.varKeys, sc.dual.rowKeys, &st.basis)
 	if err == nil {
 		if sol.Warm {
 			st.warmSolves.Add(1)
@@ -295,7 +353,8 @@ func (l LPR) solveDual(xp *xProblem, inst *cutInstall, bud *Budget) (lp.Solution
 // describing a tableau with cut rows the caller's Result never saw, and the
 // next estimation would warm-start from a phantom problem (the
 // TestLPRCutsInterrupt* regressions pin this).
-func (l LPR) separationRounds(e *engine.Engine, red *Reduced, xp *xProblem, inst *cutInstall, cost []int64, sol lp.Solution, bud *Budget, rounds int) lp.Solution {
+func (l LPR) separationRounds(e *engine.Engine, red *Reduced, sc *lprScratch, cost []int64, sol lp.Solution, bud *Budget, rounds int) lp.Solution {
+	xp, inst := &sc.xp, &sc.inst
 	for round := 0; round < rounds; round++ {
 		if bud.Expired() {
 			l.State.Invalidate()
@@ -312,7 +371,12 @@ func (l LPR) separationRounds(e *engine.Engine, red *Reduced, xp *xProblem, inst
 		if inst.infeasible {
 			return sol // caller returns the infeasible result
 		}
-		sol2, err := l.solveDual(xp, inst, bud)
+		// The re-solve reuses the workspace's solution buffers: keep a copy
+		// of the current solution in case the round has to be abandoned.
+		sc.keptX = append(sc.keptX[:0], sol.X...)
+		sc.keptDual = append(sc.keptDual[:0], sol.Dual...)
+		sol.X, sol.Dual, sol.Slack = sc.keptX, sc.keptDual, nil
+		sol2, err := l.solveDual(sc, inst, bud)
 		if err != nil || sol2.Status == lp.Numerical || sol2.X == nil {
 			// The augmented LP produced nothing usable: restore the problem
 			// the previous solution describes and stop separating. solveDual

@@ -40,13 +40,20 @@ type cutInstall struct {
 	infeasibleLits []pb.Lit
 }
 
-// installCuts residualizes every pooled cut into xp. Nil-safe on the pool.
-func installCuts(e *engine.Engine, xp *xProblem, pool *cuts.Pool, cost []int64) *cutInstall {
-	inst := &cutInstall{m0: len(xp.rows)}
+// install resets inst for a new estimation over xp and residualizes every
+// pooled cut into xp. Nil-safe on the pool.
+func (inst *cutInstall) install(e *engine.Engine, xp *xProblem, pool *cuts.Pool, cost []int64) {
+	inst.m0 = len(xp.rows)
+	inst.ids = inst.ids[:0]
+	inst.full = inst.full[:0]
+	inst.falseLits = inst.falseLits[:0]
+	inst.resid = inst.resid[:0]
+	clear(inst.done)
+	inst.infeasible = false
+	inst.infeasibleLits = nil
 	if pool.Len() > 0 {
 		inst.installNew(e, xp, pool, cost)
 	}
-	return inst
 }
 
 // installNew installs every pooled cut not yet visited this estimation.
@@ -106,18 +113,7 @@ func (inst *cutInstall) installOne(e *engine.Engine, xp *xProblem, id int64, ter
 		inst.infeasibleLits = falseLits
 		return false
 	}
-	xr := xRow{engIdx: -1, rhs: float64(residDegree)}
-	for _, t := range residTerms {
-		j := xp.local(t.Lit.Var(), cost)
-		a := float64(t.Coef)
-		if t.Lit.IsNeg() {
-			xr.entries = append(xr.entries, xEntry{j, -a})
-			xr.rhs -= a
-		} else {
-			xr.entries = append(xr.entries, xEntry{j, a})
-		}
-	}
-	xp.rows = append(xp.rows, xr)
+	xp.addRow(-1, residTerms, float64(residDegree), cost)
 	inst.ids = append(inst.ids, id)
 	inst.full = append(inst.full, terms)
 	inst.falseLits = append(inst.falseLits, falseLits)
@@ -140,22 +136,23 @@ func (inst *cutInstall) allFalseLits() []pb.Lit {
 // failed re-solve can restore the exact problem the last good solution
 // describes.
 type cutSnapshot struct {
-	rows, vars, cuts int
+	rows, vars, entries, cuts int
 }
 
 func (inst *cutInstall) snapshot(xp *xProblem) cutSnapshot {
-	return cutSnapshot{rows: len(xp.rows), vars: len(xp.vars), cuts: len(inst.ids)}
+	return cutSnapshot{rows: len(xp.rows), vars: len(xp.vars), entries: len(xp.entries), cuts: len(inst.ids)}
 }
 
 // rollback truncates xp and the install record back to snap. Ids rolled back
 // stay in done: the round is being abandoned, not retried.
 func (inst *cutInstall) rollback(xp *xProblem, snap cutSnapshot) {
 	for _, v := range xp.vars[snap.vars:] {
-		delete(xp.varIdx, v)
+		xp.varIdx[v] = 0
 	}
 	xp.vars = xp.vars[:snap.vars]
 	xp.cost = xp.cost[:snap.vars]
 	xp.rows = xp.rows[:snap.rows]
+	xp.entries = xp.entries[:snap.entries]
 	inst.ids = inst.ids[:snap.cuts]
 	inst.full = inst.full[:snap.cuts]
 	inst.falseLits = inst.falseLits[:snap.cuts]
@@ -198,7 +195,7 @@ func fracPoint(e *engine.Engine, xp *xProblem, dual []float64) func(pb.Lit) floa
 			return 0
 		}
 		x := 0.0
-		if j, ok := xp.varIdx[l.Var()]; ok && j < len(dual) {
+		if j, ok := xp.indexOf(l.Var()); ok && j < len(dual) {
 			x = dual[j]
 			if x < 0 {
 				x = 0

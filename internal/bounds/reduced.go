@@ -244,21 +244,23 @@ func ceilBound(v float64) int64 {
 	return b
 }
 
-// completionCap evaluates a candidate completion of the reduced problem in
-// exact integer arithmetic: if the candidate (xTrue per unassigned variable;
-// variables outside the map take 0, their cheapest polarity) satisfies every
-// reduced row, it returns the completion's cost and true.
+// completionCap evaluates the Lagrangian minimizer x_j = 1 ⇔ α_j < 0 (α
+// indexed like xp.vars; variables outside xp take 0, their cheapest
+// polarity) as a completion of the reduced problem, in exact integer
+// arithmetic: if it satisfies every reduced row, it returns the completion's
+// cost and true.
 //
-// LPR and LGR feed the Lagrangian minimizer x_j = 1 ⇔ α_j < 0 through this:
-// when that x happens to be feasible, weak duality guarantees the true bound
-// is ≤ its cost, so a *rounded* bound exceeding it is a provable over-round
-// (float noise) and is clamped — a known feasible completion's cost is a
-// ceiling no sound lower bound may pierce.
-func completionCap(red *Reduced, cost []int64, xTrue map[pb.Var]bool) (int64, bool) {
+// LPR and LGR feed their minimizer through this: when that x happens to be
+// feasible, weak duality guarantees the true bound is ≤ its cost, so a
+// *rounded* bound exceeding it is a provable over-round (float noise) and is
+// clamped — a known feasible completion's cost is a ceiling no sound lower
+// bound may pierce.
+func completionCap(red *Reduced, cost []int64, xp *xProblem, alpha []float64) (int64, bool) {
 	for _, row := range red.Rows {
 		var lhs int64
 		for _, t := range row.Terms {
-			if t.Lit.Eval(xTrue[t.Lit.Var()]) {
+			j, ok := xp.indexOf(t.Lit.Var())
+			if t.Lit.Eval(ok && alpha[j] < 0) {
 				lhs += t.Coef
 			}
 		}
@@ -267,8 +269,8 @@ func completionCap(red *Reduced, cost []int64, xTrue map[pb.Var]bool) (int64, bo
 		}
 	}
 	var c int64
-	for v, tv := range xTrue {
-		if tv {
+	for j, v := range xp.vars {
+		if alpha[j] < 0 {
 			c += cost[v]
 		}
 	}
@@ -282,11 +284,7 @@ func capToCompletion(bound int64, xp *xProblem, red *Reduced, cost []int64, alph
 	if bound <= 0 || bound >= InfBound || alpha == nil {
 		return bound
 	}
-	xTrue := make(map[pb.Var]bool, len(xp.vars))
-	for j, v := range xp.vars {
-		xTrue[v] = alpha[j] < 0
-	}
-	if c, ok := completionCap(red, cost, xTrue); ok && bound > c {
+	if c, ok := completionCap(red, cost, xp, alpha); ok && bound > c {
 		return c
 	}
 	return bound

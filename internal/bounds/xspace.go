@@ -19,48 +19,98 @@ type xRow struct {
 }
 
 // xProblem is the x-space view of a reduced problem, shared by the LPR and
-// LGR estimators.
+// LGR estimators. Its slices are arenas: load rebuilds the view in place, so
+// an xProblem held across estimations (LPRState's) stops allocating once it
+// has reached the size of the node problems.
 type xProblem struct {
-	vars   []pb.Var // unassigned variables appearing in the rows
-	varIdx map[pb.Var]int
-	rows   []xRow
-	cost   []float64 // per local variable
+	vars []pb.Var // unassigned variables appearing in the rows
+	// varIdx[v] is v's local index + 1 (0: v not in vars), direct-addressed
+	// by pb.Var; only the entries of vars are ever nonzero.
+	varIdx  []int32
+	rows    []xRow
+	cost    []float64 // per local variable
+	entries []xEntry  // backing store of every row's entries
+
+	// lagrangianValue's outputs, reused call to call.
+	alpha []float64
+	sRows []int
 }
 
 // local returns the compact index of v, registering it (with its cost) on
-// first sight. Cut installation extends the variable set after toXSpace when
+// first sight. Cut installation extends the variable set after load when
 // a pooled cut mentions a variable no reduced row does.
 func (xp *xProblem) local(v pb.Var, cost []int64) int {
-	if i, ok := xp.varIdx[v]; ok {
-		return i
+	if i := xp.varIdx[v]; i != 0 {
+		return int(i) - 1
 	}
 	i := len(xp.vars)
-	xp.varIdx[v] = i
+	xp.varIdx[v] = int32(i + 1)
 	xp.vars = append(xp.vars, v)
 	xp.cost = append(xp.cost, float64(cost[v]))
 	return i
 }
 
-// toXSpace converts the reduced rows to x-space over a compact local
-// variable indexing.
-func toXSpace(red *Reduced, cost []int64) *xProblem {
-	xp := &xProblem{varIdx: make(map[pb.Var]int)}
-	for _, row := range red.Rows {
-		xr := xRow{engIdx: row.EngIdx, rhs: float64(row.Degree)}
-		for _, t := range row.Terms {
-			j := xp.local(t.Lit.Var(), cost)
-			a := float64(t.Coef)
-			if t.Lit.IsNeg() {
-				// a·(1−x) = a − a·x: coefficient −a, rhs reduced by a.
-				xr.entries = append(xr.entries, xEntry{j, -a})
-				xr.rhs -= a
-			} else {
-				xr.entries = append(xr.entries, xEntry{j, a})
-			}
+// indexOf returns v's local index, if v is in the problem.
+func (xp *xProblem) indexOf(v pb.Var) (int, bool) {
+	if int(v) < len(xp.varIdx) {
+		if i := xp.varIdx[v]; i != 0 {
+			return int(i) - 1, true
 		}
-		xp.rows = append(xp.rows, xr)
 	}
+	return 0, false
+}
+
+// toXSpace converts the reduced rows to x-space over a compact local
+// variable indexing, in fresh memory.
+func toXSpace(red *Reduced, cost []int64) *xProblem {
+	xp := &xProblem{}
+	xp.load(red, cost)
 	return xp
+}
+
+// load rebuilds xp as the x-space view of red, reusing xp's memory.
+func (xp *xProblem) load(red *Reduced, cost []int64) {
+	for _, v := range xp.vars {
+		xp.varIdx[v] = 0
+	}
+	if len(xp.varIdx) < len(cost) {
+		xp.varIdx = make([]int32, len(cost))
+	}
+	xp.vars = xp.vars[:0]
+	xp.cost = xp.cost[:0]
+	xp.rows = xp.rows[:0]
+	terms := 0
+	for _, row := range red.Rows {
+		terms += len(row.Terms)
+	}
+	if cap(xp.entries) < terms {
+		// Sized once, exactly: growing by appends would leave up to twice
+		// the entries' memory behind for the rest of the solve.
+		xp.entries = make([]xEntry, 0, terms)
+	}
+	xp.entries = xp.entries[:0]
+	for _, row := range red.Rows {
+		xp.addRow(row.EngIdx, row.Terms, float64(row.Degree), cost)
+	}
+}
+
+// addRow appends the x-space row Σ terms ≥ rhs (literals ¬x_v replaced by
+// 1−x_v), its entries carved from the entries arena.
+func (xp *xProblem) addRow(engIdx int, terms []pb.Term, rhs float64, cost []int64) {
+	start := len(xp.entries)
+	for _, t := range terms {
+		j := xp.local(t.Lit.Var(), cost)
+		a := float64(t.Coef)
+		if t.Lit.IsNeg() {
+			// a·(1−x) = a − a·x: coefficient −a, rhs reduced by a.
+			xp.entries = append(xp.entries, xEntry{j, -a})
+			rhs -= a
+		} else {
+			xp.entries = append(xp.entries, xEntry{j, a})
+		}
+	}
+	end := len(xp.entries)
+	xp.rows = append(xp.rows, xRow{engIdx: engIdx, entries: xp.entries[start:end:end], rhs: rhs})
 }
 
 // lagrangianValue computes the weak-duality bound
@@ -70,10 +120,13 @@ func toXSpace(red *Reduced, cost []int64) *xProblem {
 // for the multipliers y (indexed like xp.rows; entries ≤ eps are treated as
 // zero and excluded from S). It returns the bound value, the set S of row
 // indices with positive multipliers, and the α vector (for the §4.3 filter
-// and the free minimizer x_j = 1 iff α_j < 0).
+// and the free minimizer x_j = 1 iff α_j < 0). S and α live in xp and are
+// overwritten by the next call.
 func (xp *xProblem) lagrangianValue(y []float64, eps float64) (val float64, s []int, alpha []float64) {
-	alpha = make([]float64, len(xp.vars))
+	alpha = fit(xp.alpha, len(xp.vars))
+	xp.alpha = alpha
 	copy(alpha, xp.cost)
+	s = xp.sRows[:0]
 	for i, yi := range y {
 		if yi <= eps {
 			continue
@@ -84,6 +137,7 @@ func (xp *xProblem) lagrangianValue(y []float64, eps float64) (val float64, s []
 			alpha[e.local] -= yi * e.coef
 		}
 	}
+	xp.sRows = s
 	for _, a := range alpha {
 		if a < 0 {
 			val += a

@@ -516,6 +516,10 @@ func Solve(p *pb.Problem, opt Options) Result {
 			}
 		}
 		if s.lprState != nil {
+			// The LP workspace lives for this solve only, whichever way it
+			// ends; an injected state (the serving layer's session cache)
+			// keeps just its basis.
+			defer s.lprState.Release()
 			s.lprWarm0 = s.lprState.WarmSolves()
 			s.lprCold0 = s.lprState.ColdSolves()
 			s.lprFB0 = s.lprState.WarmFallbacks()
@@ -894,6 +898,7 @@ func (s *solver) estimateInner(red *bounds.Reduced, target int64) bounds.Result 
 		s.stats.BoundDemotions++
 		if s.lprState != nil {
 			s.lprState.Invalidate()
+			s.lprState.Release()
 			s.bstats.WarmSolves = s.lprState.WarmSolves() - s.lprWarm0
 			s.bstats.ColdSolves = s.lprState.ColdSolves() - s.lprCold0
 			s.bstats.WarmFallbacks = s.lprState.WarmFallbacks() - s.lprFB0

@@ -119,149 +119,123 @@ const (
 	atUpper
 )
 
-type simplex struct {
-	n, m    int // structural vars, rows
-	nTot    int // n + m surplus + m artificial
-	cost    []float64
-	lo, hi  []float64
-	tab     [][]float64 // m × nTot
-	rhsB    []float64   // B^{-1} b (working rhs under the same row ops)
-	beta    []float64   // current value of basic variable per row
-	basis   []int
-	inBasis []bool
-	status  []nbStatus // nonbasic status per variable
-	xval     []float64 // value of nonbasic variables (at a bound)
-	iters    int
-	maxIter  int
-	deadline time.Time // zero = no wall-clock cap
-}
-
-// validate checks the problem for malformed input and materializes the
-// variable bounds. A nil early result means "proceed"; a non-nil one is a
-// terminal verdict (Infeasible on crossed bounds).
-func validate(p *Problem) (lo, hi []float64, early *Solution, err error) {
+// validate checks the problem for malformed input. A false ok means "stop":
+// either err is set, or the bounds cross and the verdict is Infeasible.
+func validate(p *Problem) (ok bool, err error) {
 	n := p.NumVars
 	if len(p.Cost) != n {
-		return nil, nil, nil, fmt.Errorf("lp: len(Cost)=%d != NumVars=%d", len(p.Cost), n)
+		return false, fmt.Errorf("lp: len(Cost)=%d != NumVars=%d", len(p.Cost), n)
 	}
-	lo = p.Lo
-	hi = p.Hi
-	if lo == nil {
-		lo = make([]float64, n)
-	}
-	if hi == nil {
-		hi = make([]float64, n)
-		for i := range hi {
-			hi[i] = 1
-		}
-	}
-	if len(lo) != n || len(hi) != n {
-		return nil, nil, nil, fmt.Errorf("lp: bounds length mismatch")
+	if (p.Lo != nil && len(p.Lo) != n) || (p.Hi != nil && len(p.Hi) != n) {
+		return false, fmt.Errorf("lp: bounds length mismatch")
 	}
 	for j := 0; j < n; j++ {
-		if lo[j] > hi[j]+epsBound {
-			return nil, nil, &Solution{Status: Infeasible}, nil
+		lo, hi := 0.0, 1.0
+		if p.Lo != nil {
+			lo = p.Lo[j]
 		}
-		if math.IsNaN(lo[j]) || math.IsNaN(hi[j]) || math.IsNaN(p.Cost[j]) {
-			return nil, nil, nil, fmt.Errorf("lp: NaN in input")
+		if p.Hi != nil {
+			hi = p.Hi[j]
+		}
+		if lo > hi+epsBound {
+			return false, nil
+		}
+		if math.IsNaN(lo) || math.IsNaN(hi) || math.IsNaN(p.Cost[j]) {
+			return false, fmt.Errorf("lp: NaN in input")
 		}
 	}
 	for i, r := range p.Rows {
 		if math.IsNaN(r.RHS) {
-			return nil, nil, nil, fmt.Errorf("lp: NaN rhs in row %d", i)
+			return false, fmt.Errorf("lp: NaN rhs in row %d", i)
 		}
 		for _, e := range r.Entries {
 			if e.Var < 0 || e.Var >= n {
-				return nil, nil, nil, fmt.Errorf("lp: row %d references var %d out of range", i, e.Var)
+				return false, fmt.Errorf("lp: row %d references var %d out of range", i, e.Var)
 			}
 			if math.IsNaN(e.Coef) {
-				return nil, nil, nil, fmt.Errorf("lp: NaN coefficient in row %d", i)
+				return false, fmt.Errorf("lp: NaN coefficient in row %d", i)
 			}
 		}
 	}
-	return lo, hi, nil, nil
+	return true, nil
 }
 
 // Solve solves the LP from scratch. It never panics on valid input;
 // malformed input (entries out of range, NaN coefficients, lo > hi) yields
-// an error. For re-solving a sequence of related LPs, see SolveWarm.
+// an error. For re-solving a sequence of related LPs, see SolveWarm and
+// Workspace.
 func Solve(p *Problem) (Solution, error) {
-	lo, hi, early, err := validate(p)
+	ok, err := validate(p)
 	if err != nil {
 		return Solution{}, err
 	}
-	if early != nil {
-		return *early, nil
+	if !ok {
+		return Solution{Status: Infeasible}, nil
 	}
-	sol, _ := solveCold(p, lo, hi)
+	var w Workspace
+	sol, _ := w.solveCold(p)
 	return sol, nil
 }
 
-// solveCold runs the classical two-phase solve and returns the final simplex
-// state alongside the solution (nil when the solve ended before phase 2
-// produced a usable basis — infeasible, iteration-capped phase 1, or
+// solveCold runs the classical two-phase solve. It reports whether the final
+// simplex state is a usable basis (false when the solve ended before phase 2
+// produced one — infeasible, iteration-capped or deadline-cut phase 1,
 // numerical corruption).
-func solveCold(p *Problem, lo, hi []float64) (Solution, *simplex) {
-	n, m := p.NumVars, len(p.Rows)
-	s := &simplex{n: n, m: m, nTot: n + 2*m, deadline: p.Deadline}
-	s.maxIter = p.MaxIter
-	if s.maxIter == 0 {
-		s.maxIter = 100*(n+m) + 5000
+func (w *Workspace) solveCold(p *Problem) (Solution, bool) {
+	if pastDeadline(p.Deadline) {
+		return Solution{Status: IterLimit}, false
 	}
-	s.lo = make([]float64, s.nTot)
-	s.hi = make([]float64, s.nTot)
-	copy(s.lo, lo)
-	copy(s.hi, hi)
-	for j := n; j < n+m; j++ { // surplus: [0, +inf)
-		s.hi[j] = math.Inf(1)
+	// With every lower bound zero, a row's residual below is its rhs. When
+	// no rhs is positive either — the LPR dual — no row ever needs an
+	// artificial, all of them stay locked at zero, nothing reads their
+	// columns, and the tableau leaves them out.
+	zeroLo := true
+	for _, lo := range p.Lo {
+		if lo != 0 {
+			zeroLo = false
+			break
+		}
 	}
-	for j := n + m; j < s.nTot; j++ { // artificial: [0, +inf) during phase 1
-		s.hi[j] = math.Inf(1)
+	artificials := 0
+	for _, r := range p.Rows {
+		if !zeroLo || r.RHS > 0 {
+			artificials = len(p.Rows)
+			break
+		}
 	}
+	s := w.prepare(p, artificials)
+	n, m := s.n, s.m
 
 	// Working rows: A_i x − s_i = b_i, possibly negated so the initial
 	// artificial value is non-negative with every structural nonbasic at its
 	// lower bound and surplus at 0.
-	s.tab = make([][]float64, m)
-	s.rhsB = make([]float64, m)
-	s.beta = make([]float64, m)
-	s.basis = make([]int, m)
-	s.inBasis = make([]bool, s.nTot)
-	s.status = make([]nbStatus, s.nTot)
-	s.xval = make([]float64, s.nTot)
-	for j := 0; j < n; j++ {
-		s.xval[j] = lo[j]
-	}
-
+	//
 	// Slack-basis crash: a row whose residual (with every structural
 	// variable at its bound) is non-positive starts with its surplus
 	// variable basic and needs no artificial; only rows with positive
 	// residual get a basic artificial. Dual-style LPs (c ≥ 0, rhs ≤ 0)
 	// therefore skip phase 1 entirely.
-	dense := make([]float64, n)
 	needPhase1 := false
 	for i, r := range p.Rows {
-		for k := range dense {
-			dense[k] = 0
+		if i%deadlineStride == 0 && s.expired() {
+			return Solution{Status: IterLimit}, false
 		}
+		row := s.row(i)
 		for _, e := range r.Entries {
-			dense[e.Var] += e.Coef
+			row[e.Var] += e.Coef
 		}
 		// Residual with nonbasic values plugged in.
 		resid := r.RHS
-		for j := 0; j < n; j++ {
-			resid -= dense[j] * s.xval[j]
+		if !zeroLo {
+			for j := 0; j < n; j++ {
+				resid -= row[j] * s.xval[j]
+			}
 		}
-		row := make([]float64, s.nTot)
 		if resid > 0 {
 			// Artificial basic (coefficient +1 keeps the unit-column
 			// invariant); phase 1 must drive it out.
-			for j := 0; j < n; j++ {
-				row[j] = dense[j]
-			}
 			row[n+i] = -1.0  // surplus
 			row[n+m+i] = 1.0 // artificial
-			s.tab[i] = row
 			s.rhsB[i] = r.RHS
 			s.basis[i] = n + m + i
 			s.inBasis[n+m+i] = true
@@ -273,11 +247,12 @@ func solveCold(p *Problem, lo, hi []float64) (Solution, *simplex) {
 			// vectors). The surplus value −resid is non-negative, so the
 			// basis is feasible and no artificial is ever needed.
 			for j := 0; j < n; j++ {
-				row[j] = -dense[j]
+				row[j] = -row[j]
 			}
-			row[n+i] = 1.0    // surplus (negated from −1)
-			row[n+m+i] = -1.0 // artificial (negated, permanently locked)
-			s.tab[i] = row
+			row[n+i] = 1.0 // surplus (negated from −1)
+			if artificials > 0 {
+				row[n+m+i] = -1.0 // artificial (negated, permanently locked)
+			}
 			s.rhsB[i] = -r.RHS
 			s.basis[i] = n + i
 			s.inBasis[n+i] = true
@@ -289,13 +264,15 @@ func solveCold(p *Problem, lo, hi []float64) (Solution, *simplex) {
 	// Phase 1: minimize the artificial sum (skipped when the slack basis is
 	// already feasible).
 	if needPhase1 {
-		cost1 := make([]float64, s.nTot)
+		fit(&w.cost1, s.nTot, w.shrink)
+		cost1 := w.cost1
+		clear(cost1[:n+m])
 		for j := n + m; j < s.nTot; j++ {
 			cost1[j] = 1
 		}
-		st := s.run(cost1)
+		st := s.run(cost1, false)
 		if st == IterLimit || st == Numerical {
-			return Solution{Status: st, Iterations: s.iters}, nil
+			return Solution{Status: st, Iterations: s.iters}, false
 		}
 		var art float64
 		for i := 0; i < m; i++ {
@@ -309,7 +286,7 @@ func solveCold(p *Problem, lo, hi []float64) (Solution, *simplex) {
 			}
 		}
 		if art > epsPhase1 {
-			return Solution{Status: Infeasible, Iterations: s.iters}, nil
+			return Solution{Status: Infeasible, Iterations: s.iters}, false
 		}
 	}
 	// Lock artificials at zero for phase 2.
@@ -322,20 +299,22 @@ func solveCold(p *Problem, lo, hi []float64) (Solution, *simplex) {
 	}
 
 	// Phase 2.
-	s.cost = make([]float64, s.nTot)
 	copy(s.cost, p.Cost)
-	st := s.run(s.cost)
+	st := s.run(s.cost, false)
 	if st == Unbounded || st == Numerical {
-		return Solution{Status: st, Iterations: s.iters}, nil
+		return Solution{Status: st, Iterations: s.iters}, false
 	}
-	return s.extractSolution(p, lo, hi, st), s
+	sol := w.extractSolution(p, st)
+	return sol, sol.Status != Numerical
 }
 
 // extractSolution reads the primal point, objective, slacks and duals out of
-// the final simplex state. st is the phase-2 outcome (Optimal or IterLimit —
-// in the latter case the basis is still primal-feasible, so the extracted
-// point and duals remain usable: the anytime behaviour).
-func (s *simplex) extractSolution(p *Problem, lo, hi []float64, st Status) Solution {
+// the final simplex state into the workspace's solution buffers. st is the
+// phase-2 outcome (Optimal or IterLimit — in the latter case the basis is
+// still primal-feasible, so the extracted point and duals remain usable: the
+// anytime behaviour).
+func (w *Workspace) extractSolution(p *Problem, st Status) Solution {
+	s := &w.s
 	n, m := s.n, s.m
 	sol := Solution{Status: Optimal, Iterations: s.iters}
 	if st == IterLimit {
@@ -345,8 +324,9 @@ func (s *simplex) extractSolution(p *Problem, lo, hi []float64, st Status) Solut
 		// valid Lagrangian bound).
 		sol.Status = IterLimit
 	}
-	// Extract primal values.
-	x := make([]float64, n)
+	// Extract primal values, clamped into bounds (numerical noise only).
+	fit(&w.x, n, w.shrink)
+	x := w.x
 	for j := 0; j < n; j++ {
 		if !s.inBasis[j] {
 			x[j] = s.xval[j]
@@ -357,13 +337,12 @@ func (s *simplex) extractSolution(p *Problem, lo, hi []float64, st Status) Solut
 			x[b] = s.beta[i]
 		}
 	}
-	// Clamp into bounds (numerical noise only).
 	for j := 0; j < n; j++ {
-		if x[j] < lo[j] {
-			x[j] = lo[j]
+		if x[j] < s.lo[j] {
+			x[j] = s.lo[j]
 		}
-		if x[j] > hi[j] {
-			x[j] = hi[j]
+		if x[j] > s.hi[j] {
+			x[j] = s.hi[j]
 		}
 	}
 	sol.X = x
@@ -378,35 +357,84 @@ func (s *simplex) extractSolution(p *Problem, lo, hi []float64, st Status) Solut
 	}
 	sol.Objective = obj
 	// Slacks from the original rows.
-	sol.Slack = make([]float64, m)
+	fit(&w.slack, m, w.shrink)
+	slack := w.slack
 	for i, r := range p.Rows {
 		lhs := 0.0
 		for _, e := range r.Entries {
 			lhs += e.Coef * x[e.Var]
 		}
-		sol.Slack[i] = lhs - r.RHS
+		slack[i] = lhs - r.RHS
 	}
+	sol.Slack = slack
 	// Duals: the reduced cost of surplus variable i equals the dual of
 	// original row i (sign conventions cancel; see package tests).
-	sol.Dual = make([]float64, m)
-	cB := make([]float64, m)
-	for i := 0; i < m; i++ {
-		cB[i] = s.cost[s.basis[i]]
-	}
-	for i := 0; i < m; i++ {
-		d := 0.0 // cost of surplus var is 0
-		col := n + i
-		for k := 0; k < m; k++ {
-			if cB[k] != 0 {
-				d -= cB[k] * s.tab[k][col]
+	fit(&w.dual, m, w.shrink)
+	dual := w.dual
+	// d_i = 0 − Σ_k cB_k·tab[k][n+i] (the cost of surplus var i is 0),
+	// accumulated row by row over the surplus block.
+	clear(dual)
+	for k := 0; k < m; k++ {
+		if c := s.cost[s.basis[k]]; c != 0 {
+			surplus := s.row(k)[n : n+m]
+			for i, t := range surplus {
+				dual[i] -= c * t
 			}
 		}
-		if d < 0 && d > -epsCost {
-			d = 0
-		}
-		sol.Dual[i] = d
 	}
+	for i, d := range dual {
+		if d < 0 && d > -epsCost {
+			dual[i] = 0
+		}
+	}
+	sol.Dual = dual
 	return sol
+}
+
+// activeCols collects into s.cols the columns a simplex phase works on:
+// variables that are basic, can move, or sit nonbasic at a nonzero value
+// (refreshBeta reads their tableau entries). Locked artificials drop out,
+// and so does every artificial of a warm tableau, which has no column for
+// them.
+func (s *simplex) activeCols() []int {
+	cols := s.cols[:0]
+	for j := 0; j < s.width; j++ {
+		if s.inBasis[j] || s.hi[j]-s.lo[j] >= epsBound || s.xval[j] != 0 {
+			cols = append(cols, j)
+		}
+	}
+	return cols
+}
+
+// reducedCosts sets d[j] = cost[j] − cB·B⁻¹A_j over cols.
+func (s *simplex) reducedCosts(cost []float64, cols []int) {
+	cB, d := s.cB, s.d
+	for i := 0; i < s.m; i++ {
+		cB[i] = cost[s.basis[i]]
+	}
+	for _, j := range cols {
+		d[j] = cost[j]
+	}
+	for i := 0; i < s.m; i++ {
+		if cB[i] == 0 {
+			continue
+		}
+		subRow(d, s.row(i), cB[i], cols)
+	}
+}
+
+// pivotOn makes column enter basic in row r: scale row r by 1/piv, then
+// eliminate the column from every other row. Returns the nonzero columns
+// (among cols) of the updated pivot row, which the caller's reduced-cost
+// update reuses.
+func (s *simplex) pivotOn(r, enter int, piv float64, cols []int) []int {
+	inv := 1.0 / piv
+	rowR := s.row(r)
+	scaleRow(rowR, inv, cols)
+	s.rhsB[r] *= inv
+	nz := nonzeros(s.nz, rowR, cols)
+	s.eliminate(r, enter, nz, nil)
+	return nz
 }
 
 // run optimizes the given cost vector from the current basis. Returns
@@ -416,37 +444,19 @@ func (s *simplex) extractSolution(p *Problem, lo, hi []float64, st Status) Solut
 // periodically to contain drift), and all column work is restricted to the
 // active columns: variables whose bounds allow movement or that sit in the
 // basis. Locked artificials disappear from phase 2 entirely.
-func (s *simplex) run(cost []float64) Status {
-	// Active columns for this phase. A column must stay active when its
-	// variable is basic, can move, or sits nonbasic at a nonzero value
-	// (refreshBeta reads its tableau entries).
-	cols := make([]int, 0, s.nTot)
-	for j := 0; j < s.nTot; j++ {
-		if s.inBasis[j] || s.hi[j]-s.lo[j] >= epsBound || s.xval[j] != 0 {
-			cols = append(cols, j)
-		}
+//
+// dReady reports that s.d already holds the exact reduced costs of cost
+// over the active columns (runDual's exit state when it shifted no cost);
+// run then skips its opening recomputation, and the verification pass
+// before declaring optimality is skipped whenever no pivot has happened
+// since the last exact computation — both would reproduce the same values.
+func (s *simplex) run(cost []float64, dReady bool) Status {
+	cols := s.activeCols()
+	d := s.d
+	if !dReady {
+		s.reducedCosts(cost, cols)
 	}
-	d := make([]float64, s.nTot)
-	cB := make([]float64, s.m)
-	recomputeD := func() {
-		for i := 0; i < s.m; i++ {
-			cB[i] = cost[s.basis[i]]
-		}
-		for _, j := range cols {
-			d[j] = cost[j]
-		}
-		for i := 0; i < s.m; i++ {
-			if cB[i] == 0 {
-				continue
-			}
-			row := s.tab[i]
-			c := cB[i]
-			for _, j := range cols {
-				d[j] -= c * row[j]
-			}
-		}
-	}
-	recomputeD()
+	exact := true
 
 	price := func(bland bool) int {
 		enter := -1
@@ -474,14 +484,15 @@ func (s *simplex) run(cost []float64) Status {
 
 	blandAfter := s.maxIter / 2
 	for ; s.iters < s.maxIter; s.iters++ {
-		if s.iters%64 == 63 && !s.deadline.IsZero() && time.Now().After(s.deadline) {
+		if s.iters%deadlineStride == deadlineStride-1 && s.expired() {
 			// Wall-clock budget exhausted: stop with the current (still
 			// primal-feasible) basis — the anytime outcome.
 			return IterLimit
 		}
 		if s.iters%256 == 255 {
 			s.refreshBeta()
-			recomputeD()
+			s.reducedCosts(cost, cols)
+			exact = true
 			if s.corrupted() {
 				return Numerical
 			}
@@ -491,7 +502,11 @@ func (s *simplex) run(cost []float64) Status {
 		if enter == -1 {
 			// Verify against exact reduced costs before declaring optimality
 			// (d is maintained incrementally and may have drifted).
-			recomputeD()
+			if exact {
+				return Optimal
+			}
+			s.reducedCosts(cost, cols)
+			exact = true
 			if enter = price(bland); enter == -1 {
 				return Optimal
 			}
@@ -504,7 +519,7 @@ func (s *simplex) run(cost []float64) Status {
 		t := s.hi[enter] - s.lo[enter] // bound-to-bound move
 		blocking := -1
 		for i := 0; i < s.m; i++ {
-			delta := -dir * s.tab[i][enter]
+			delta := -dir * s.tab[i*s.width+enter]
 			bi := s.basis[i]
 			var limit float64
 			switch {
@@ -532,7 +547,7 @@ func (s *simplex) run(cost []float64) Status {
 		// Apply the move.
 		if t != 0 {
 			for i := 0; i < s.m; i++ {
-				s.beta[i] -= s.tab[i][enter] * dir * t
+				s.beta[i] -= s.tab[i*s.width+enter] * dir * t
 			}
 		}
 		if blocking == -1 {
@@ -549,7 +564,7 @@ func (s *simplex) run(cost []float64) Status {
 		r := blocking
 		leave := s.basis[r]
 		// Which bound did the leaving variable hit?
-		if -dir*s.tab[r][enter] > 0 {
+		if -dir*s.tab[r*s.width+enter] > 0 {
 			s.status[leave] = atUpper
 			s.xval[leave] = s.hi[leave]
 		} else {
@@ -564,75 +579,26 @@ func (s *simplex) run(cost []float64) Status {
 		// Gauss-Jordan elimination on column enter, pivot row r.
 		// fault point "lp.pivot": tests corrupt the pivot (NaN/overflow) to
 		// exercise the Numerical detection and the caller's fallback ladder.
-		piv := fault.Corrupt("lp.pivot", s.tab[r][enter])
+		piv := fault.Corrupt("lp.pivot", s.tab[r*s.width+enter])
 		if math.IsNaN(piv) || math.IsInf(piv, 0) {
 			return Numerical
 		}
 		if math.Abs(piv) < epsPivot {
 			// Numerically unusable pivot: refresh and retry next iteration.
 			s.refreshBeta()
-			recomputeD()
+			s.reducedCosts(cost, cols)
+			exact = true
 			continue
 		}
-		inv := 1.0 / piv
-		rowR := s.tab[r]
-		for _, j := range cols {
-			rowR[j] *= inv
-		}
-		s.rhsB[r] *= inv
-		for i := 0; i < s.m; i++ {
-			if i == r {
-				continue
-			}
-			f := s.tab[i][enter]
-			if f == 0 {
-				continue
-			}
-			rowI := s.tab[i]
-			for _, j := range cols {
-				rowI[j] -= f * rowR[j]
-			}
-			s.rhsB[i] -= f * s.rhsB[r]
-		}
+		exact = false
+		nz := s.pivotOn(r, enter, piv, cols)
 		// Incremental reduced-cost update: d' = d − d[enter]·rowR (rowR is
 		// already the updated pivot row), using the true cost of the leaving
 		// variable to restore its entry.
-		dEnter := d[enter]
-		if dEnter != 0 {
-			for _, j := range cols {
-				d[j] -= dEnter * rowR[j]
-			}
+		if dEnter := d[enter]; dEnter != 0 {
+			subRow(d, s.row(r), dEnter, nz)
 		}
 		d[enter] = 0
 	}
 	return IterLimit
-}
-
-// corrupted reports whether floating-point corruption (NaN/Inf) has reached
-// the working basic solution. Called from the periodic refresh so the cost
-// stays off the per-pivot path.
-func (s *simplex) corrupted() bool {
-	for i := 0; i < s.m; i++ {
-		if math.IsNaN(s.beta[i]) || math.IsInf(s.beta[i], 0) ||
-			math.IsNaN(s.rhsB[i]) || math.IsInf(s.rhsB[i], 0) {
-			return true
-		}
-	}
-	return false
-}
-
-// refreshBeta recomputes the basic variable values from rhsB and the
-// nonbasic bound values, limiting incremental floating-point drift.
-func (s *simplex) refreshBeta() {
-	for i := 0; i < s.m; i++ {
-		v := s.rhsB[i]
-		row := s.tab[i]
-		for j := 0; j < s.nTot; j++ {
-			if s.inBasis[j] || s.xval[j] == 0 {
-				continue
-			}
-			v -= row[j] * s.xval[j]
-		}
-		s.beta[i] = v
-	}
 }

@@ -3,7 +3,6 @@ package lp
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/fault"
 )
@@ -26,24 +25,21 @@ import (
 // or badly mapped basis therefore yields a weaker bound, never an unsound
 // one.
 
-// basicID identifies the variable occupying a basis row, in caller-key space
-// so it survives column/row renumbering between problems.
-type basicID struct {
-	// surplus marks the surplus variable of the row identified by key;
-	// otherwise key identifies a structural variable.
-	surplus bool
-	key     int64
-}
-
-// Basis is an opaque snapshot of a simplex basis keyed by the caller's
-// stable identities. It is produced by SolveWarm and fed back into the next
-// SolveWarm call; callers never inspect it.
+// Basis is a snapshot of a simplex basis under the caller's stable keys.
+// It is produced by a SolveWarm call and fed to the next one; callers never
+// inspect it. A Basis holds no tableau, so it is cheap to keep beyond the
+// Workspace that produced it (the serving layer's session cache keeps one
+// per cached problem).
 type Basis struct {
-	// rows maps a row's key to the identity of its basic variable.
-	rows map[int64]basicID
-	// upper is the set of structural variable keys nonbasic at their upper
-	// bound (empty when all upper bounds are infinite, as in the LPR dual).
-	upper map[int64]bool
+	// Aligned per snapshotted row: the row's key, and the key of its basic
+	// variable — a structural variable key, or, when surplus is set, the key
+	// of the row whose surplus variable is basic.
+	rowKey  []int64
+	basic   []int64
+	surplus []bool
+	// upper lists the structural variable keys nonbasic at their upper bound
+	// (empty when all upper bounds are infinite, as in the LPR dual).
+	upper []int64
 }
 
 // Len returns the number of snapshotted basis rows (diagnostic only).
@@ -51,7 +47,38 @@ func (b *Basis) Len() int {
 	if b == nil {
 		return 0
 	}
-	return len(b.rows)
+	return len(b.rowKey)
+}
+
+// Reset empties the basis, keeping its memory: the next solve from it is
+// cold.
+func (b *Basis) Reset() {
+	if b == nil {
+		return
+	}
+	b.rowKey = b.rowKey[:0]
+	b.basic = b.basic[:0]
+	b.surplus = b.surplus[:0]
+	b.upper = b.upper[:0]
+}
+
+func (b *Basis) add(rowKey, basic int64, surplus bool) {
+	b.rowKey = append(b.rowKey, rowKey)
+	b.basic = append(b.basic, basic)
+	b.surplus = append(b.surplus, surplus)
+}
+
+// clone returns an independent copy of b (nil-safe: a nil b clones to an
+// empty Basis).
+func (b *Basis) clone() *Basis {
+	c := &Basis{}
+	if b != nil {
+		c.rowKey = append(c.rowKey, b.rowKey...)
+		c.basic = append(c.basic, b.basic...)
+		c.surplus = append(c.surplus, b.surplus...)
+		c.upper = append(c.upper, b.upper...)
+	}
+	return c
 }
 
 // SolveWarm solves p, reusing prev (a Basis returned by an earlier SolveWarm
@@ -60,116 +87,179 @@ func (b *Basis) Len() int {
 // the same logical variable/constraint must receive the same key across
 // calls, and keys must be unique within a call. prev == nil (or an
 // unmappable basis) degrades to the cold Solve path. The returned Basis
-// snapshots the final state for the next call (nil when the solve ended
-// without a usable basis). Solution.Warm reports whether the previous basis
+// snapshots the final state for the next call (nil when there is none; a
+// copy of prev when the deadline cut the solve short before it had one, see
+// Workspace.SolveWarm). Solution.Warm reports whether the previous basis
 // was actually reused; a caller that passed prev != nil and observes
 // Warm == false has witnessed a cold fallback.
+//
+// SolveWarm leaves prev unchanged and builds its tableau in a fresh
+// Workspace; a caller solving one LP after another should hold a Workspace
+// and a Basis and call Workspace.SolveWarm instead.
 func SolveWarm(p *Problem, varKeys, rowKeys []int64, prev *Basis) (Solution, *Basis, error) {
-	if len(varKeys) != p.NumVars {
-		return Solution{}, nil, fmt.Errorf("lp: len(varKeys)=%d != NumVars=%d", len(varKeys), p.NumVars)
-	}
-	if len(rowKeys) != len(p.Rows) {
-		return Solution{}, nil, fmt.Errorf("lp: len(rowKeys)=%d != len(Rows)=%d", len(rowKeys), len(p.Rows))
-	}
-	lo, hi, early, err := validate(p)
+	next := prev.clone()
+	var w Workspace
+	sol, err := w.SolveWarm(p, varKeys, rowKeys, next)
 	if err != nil {
 		return Solution{}, nil, err
 	}
-	if early != nil {
-		return *early, nil, nil
+	if next.Len() == 0 {
+		next = nil
+	}
+	return sol, next, nil
+}
+
+// SolveWarm solves p in the workspace, starting from bas when it maps onto
+// p, and overwrites bas with the final basis (see the package-level
+// SolveWarm for the key contract). bas may be nil (always cold, no
+// snapshot). A solve that produces no basis empties bas — except one cut by
+// its deadline or iteration cap before any basis existed, which leaves bas
+// as it was, since nothing about it was refuted.
+//
+// Problem.Deadline is checked before the workspace is sized and polled
+// while the tableau is built and the basis is installed, not only between
+// pivots: a deadline that has already passed returns IterLimit at once.
+//
+// The returned Solution aliases the workspace (see Workspace).
+func (w *Workspace) SolveWarm(p *Problem, varKeys, rowKeys []int64, bas *Basis) (Solution, error) {
+	if len(varKeys) != p.NumVars {
+		return Solution{}, fmt.Errorf("lp: len(varKeys)=%d != NumVars=%d", len(varKeys), p.NumVars)
+	}
+	if len(rowKeys) != len(p.Rows) {
+		return Solution{}, fmt.Errorf("lp: len(rowKeys)=%d != len(Rows)=%d", len(rowKeys), len(p.Rows))
+	}
+	ok, err := validate(p)
+	if err != nil {
+		return Solution{}, err
+	}
+	if !ok {
+		bas.Reset()
+		return Solution{Status: Infeasible}, nil
+	}
+	if pastDeadline(p.Deadline) {
+		return Solution{Status: IterLimit}, nil
+	}
+	if bas.Len() == 0 || len(p.Rows) == 0 {
+		return w.cold(p, varKeys, rowKeys, bas), nil
 	}
 
-	cold := func() (Solution, *Basis, error) {
-		sol, s := solveCold(p, lo, hi)
-		var bas *Basis
-		if s != nil && (sol.Status == Optimal || sol.Status == IterLimit) {
-			bas = s.snapshot(varKeys, rowKeys)
-		}
-		return sol, bas, nil
+	if !w.buildWarm(p) {
+		return Solution{Status: IterLimit}, nil
 	}
-
-	if prev.Len() == 0 || len(p.Rows) == 0 {
-		return cold()
+	switch w.crashBasis(p, varKeys, rowKeys, bas) {
+	case crashDeclined:
+		return w.cold(p, varKeys, rowKeys, bas), nil
+	case crashExpired:
+		return Solution{Status: IterLimit}, nil
 	}
-
-	s := buildWarm(p, lo, hi)
-	if !s.crashBasis(varKeys, rowKeys, prev) {
-		return cold()
-	}
+	s := &w.s
 	s.refreshBeta()
 	if s.corrupted() {
-		return cold()
+		return w.cold(p, varKeys, rowKeys, bas), nil
 	}
-	s.cost = make([]float64, s.nTot)
 	copy(s.cost, p.Cost)
 	// Dual pass: restore primal feasibility while (approximately) preserving
 	// dual feasibility. Anything but Optimal means the mapped basis was not
 	// worth keeping.
-	if st := s.runDual(s.cost); st != Optimal {
-		return cold()
+	st, dReady := s.runDual(s.cost)
+	if st != Optimal {
+		return w.cold(p, varKeys, rowKeys, bas), nil
 	}
 	// Polish with the true costs: the dual pass may have shifted costs to
 	// stay well-defined, and the crash may have left mild dual
 	// infeasibility; the primal simplex finishes from a primal-feasible
 	// basis that is typically a handful of pivots from optimal.
-	st := s.run(s.cost)
+	st = s.run(s.cost, dReady)
 	if st == Unbounded || st == Numerical {
-		return cold()
+		return w.cold(p, varKeys, rowKeys, bas), nil
 	}
-	sol := s.extractSolution(p, lo, hi, st)
+	sol := w.extractSolution(p, st)
 	if sol.Status == Numerical {
-		return cold()
+		return w.cold(p, varKeys, rowKeys, bas), nil
 	}
 	sol.Warm = true
-	return sol, s.snapshot(varKeys, rowKeys), nil
+	s.snapshot(varKeys, rowKeys, bas)
+	return sol, nil
 }
 
-// buildWarm constructs the simplex working state with rows in their natural
+// cold runs the two-phase solve and snapshots its basis into bas.
+func (w *Workspace) cold(p *Problem, varKeys, rowKeys []int64, bas *Basis) Solution {
+	sol, usable := w.solveCold(p)
+	switch {
+	case usable && (sol.Status == Optimal || sol.Status == IterLimit):
+		w.s.snapshot(varKeys, rowKeys, bas)
+	case sol.Status == IterLimit:
+		// Cut short before a basis existed: bas still describes the last
+		// solve that produced one.
+	default:
+		bas.Reset()
+	}
+	return sol
+}
+
+// buildWarm builds the working state with rows in their natural
 // (non-negated) orientation — A_i·x − s_i = b_i with the surplus column −1 —
 // and artificials locked at zero from the start. Unlike the cold slack-basis
 // crash, no row is negated: the basis comes from the previous solve, not
 // from the sign of the initial residual. The dual-extraction identity
 // d_surplus_i = y_i holds in this orientation too (the stored surplus column
 // is B⁻¹·(−e_i), so −cB·B⁻¹·(−e_i) = y_i).
-func buildWarm(p *Problem, lo, hi []float64) *simplex {
-	n, m := p.NumVars, len(p.Rows)
-	s := &simplex{n: n, m: m, nTot: n + 2*m, deadline: p.Deadline}
-	s.maxIter = p.MaxIter
-	if s.maxIter == 0 {
-		s.maxIter = 100*(n+m) + 5000
-	}
-	s.lo = make([]float64, s.nTot)
-	s.hi = make([]float64, s.nTot)
-	copy(s.lo, lo)
-	copy(s.hi, hi)
-	for j := n; j < n+m; j++ { // surplus: [0, +inf)
-		s.hi[j] = math.Inf(1)
-	}
+//
+// It also records, per structural column, the only row holding its entries
+// (unitRow; −1 for several rows, −2 for none), which lets the crash install
+// a still-unit column without searching or sweeping the tableau, and marks
+// the rows whose nonzeros are known without a scan (pristine). Returns false
+// when the deadline passed during the build.
+func (w *Workspace) buildWarm(p *Problem) bool {
+	s := w.prepare(p, 0)
+	n, m := s.n, s.m
 	// Artificials stay locked at zero: the crash never needs them feasible,
-	// only pivotable (their +1 entry is guaranteed intact when their row
-	// comes up, see crashBasis).
-	s.tab = make([][]float64, m)
-	s.rhsB = make([]float64, m)
-	s.beta = make([]float64, m)
-	s.basis = make([]int, m)
-	s.inBasis = make([]bool, s.nTot)
-	s.status = make([]nbStatus, s.nTot)
-	s.xval = make([]float64, s.nTot)
-	for j := 0; j < n; j++ {
-		s.xval[j] = lo[j]
+	// only pivotable as a row's last fallback, where the column is known to
+	// be the unit vector of its row (see crashBasis). Locked, they never
+	// enter the basis, and nothing reads their columns afterwards, so the
+	// tableau does not hold them at all.
+	for j := n + m; j < s.nTot; j++ {
+		s.hi[j] = 0
 	}
+	fit(&w.unitRow, n, w.shrink)
+	unitRow := w.unitRow
+	for j := range unitRow {
+		unitRow[j] = -2
+	}
+	fit(&w.pristine, m, w.shrink)
 	for i, r := range p.Rows {
-		row := make([]float64, s.nTot)
-		for _, e := range r.Entries {
-			row[e.Var] += e.Coef
+		if i%deadlineStride == 0 && s.expired() {
+			return false
 		}
-		row[n+i] = -1.0  // surplus
-		row[n+m+i] = 1.0 // artificial (locked)
-		s.tab[i] = row
+		row := s.row(i)
+		// A row is pristine while its nonzeros are exactly its entries plus
+		// its surplus; a zero or repeated entry breaks that.
+		w.pristine[i] = true
+		for _, e := range r.Entries {
+			if e.Coef == 0 || row[e.Var] != 0 {
+				w.pristine[i] = false
+			}
+			row[e.Var] += e.Coef
+			if u := unitRow[e.Var]; u == -2 {
+				unitRow[e.Var] = int32(i)
+			} else if u != int32(i) {
+				unitRow[e.Var] = -1
+			}
+		}
+		row[n+i] = -1.0 // surplus
 		s.rhsB[i] = r.RHS
 	}
-	return s
+	return true
 }
+
+// crashOutcome is the verdict of crashBasis.
+type crashOutcome uint8
+
+const (
+	crashInstalled crashOutcome = iota // a basis is installed
+	crashDeclined                      // too little of prev maps: solve cold
+	crashExpired                       // the deadline passed mid-crash
+)
 
 // crashBasis maps prev onto the current problem and installs it by
 // Gauss-Jordan pivots with partial pivoting. A basis is a column SET —
@@ -182,43 +272,53 @@ func buildWarm(p *Problem, lo, hi []float64) *simplex {
 // unchanged problem the crash reconstructs the previous basis exactly and
 // the dual pass confirms feasibility with zero iterations.
 //
+// Unit columns. A column whose entries all sit in one row r of the built
+// tableau stays a unit vector in row r for as long as r has not been a
+// pivot row: each pivot subtracts multiples of its own row, whose entry in
+// that column is zero. Such a column — the LPR dual's w_j columns and every
+// surplus column, which fill most of its bases — is installed by scaling
+// row r alone: r is the only candidate row and no other row needs
+// elimination, exactly what the general search and sweep would conclude.
+//
 // Rows left unpivoted (unmapped rows, dependent or corrupted columns) fall
-// back to their own surplus, then their own artificial. Both fallbacks have
-// guaranteed unit-magnitude pivots: column n+r (resp. n+m+r) is nonzero
-// only in row r of the initial tableau, and while row r remains unpivoted
-// it is never used as a pivot row, so no elimination can spread that column
-// into other rows or alter row r's own entry — tab[r][n+r] is still exactly
-// −1 and tab[r][n+m+r] exactly +1 when row r's fallback turn comes.
+// back to their own surplus, then their own artificial. Both fallbacks are
+// unit columns of unit magnitude: column n+r (resp. n+m+r) is nonzero only
+// in row r of the initial system, and while row r remains unpivoted it is
+// never used as a pivot row, so tab[r][n+r] is still exactly −1 (and the
+// artificial's entry, which the warm tableau does not store, exactly +1)
+// when row r's fallback turn comes.
 //
 // The crash declines (cold fallback) when fewer than half the rows map, in
 // which case installing the remnant would cost more pivoting than it saves.
 //
 // fault point "lp.warmcrash": tests corrupt mapped pivot values to force the
 // per-column fallback and, en masse, the cold fallback.
-func (s *simplex) crashBasis(varKeys, rowKeys []int64, prev *Basis) bool {
+func (w *Workspace) crashBasis(p *Problem, varKeys, rowKeys []int64, prev *Basis) crashOutcome {
+	s := &w.s
 	n, m := s.n, s.m
-	varCol := make(map[int64]int, n)
 	for j, k := range varKeys {
-		varCol[k] = j
+		w.varCol.set(k, j)
 	}
-	rowAt := make(map[int64]int, m)
 	for i, k := range rowKeys {
-		rowAt[k] = i
+		w.rowAt.set(k, i)
+	}
+	for k, rk := range prev.rowKey {
+		w.prevAt.set(rk, k)
 	}
 	// The desired basic column set, deduplicated via inBasis as a scratch
 	// "seen" marker (reset below before the pivots mark real basis members).
-	cols := make([]int, 0, m)
+	cols := s.cols[:0]
 	for i := 0; i < m; i++ {
-		id, ok := prev.rows[rowKeys[i]]
+		k, ok := w.prevAt.get(rowKeys[i])
 		if !ok {
 			continue
 		}
 		c := -1
-		if id.surplus {
-			if k, ok := rowAt[id.key]; ok {
-				c = n + k
+		if prev.surplus[k] {
+			if r, ok := w.rowAt.get(prev.basic[k]); ok {
+				c = n + r
 			}
-		} else if j, ok := varCol[id.key]; ok {
+		} else if j, ok := w.varCol.get(prev.basic[k]); ok {
 			c = j
 		}
 		if c >= 0 && !s.inBasis[c] {
@@ -229,80 +329,119 @@ func (s *simplex) crashBasis(varKeys, rowKeys []int64, prev *Basis) bool {
 	for _, c := range cols {
 		s.inBasis[c] = false
 	}
-	if 2*len(cols) < m {
-		return false // mapping too poor: the crash would mostly build a slack basis anyway
-	}
-	// Restore nonbasic-at-upper statuses (no-op when upper bounds are
-	// infinite, as in the LPR dual LP).
-	if len(prev.upper) > 0 {
-		for j := 0; j < n; j++ {
-			if prev.upper[varKeys[j]] && !math.IsInf(s.hi[j], 1) {
+	declined := 2*len(cols) < m // mapping too poor: the crash would mostly build a slack basis anyway
+	if !declined {
+		// Restore nonbasic-at-upper statuses (no-op when upper bounds are
+		// infinite, as in the LPR dual LP).
+		for _, k := range prev.upper {
+			if j, ok := w.varCol.get(k); ok && !math.IsInf(s.hi[j], 1) {
 				s.status[j] = atUpper
 				s.xval[j] = s.hi[j]
 			}
 		}
 	}
-	// Gauss-Jordan pivot on (r, col); unit-magnitude pivots and unit columns
-	// (the common case for the LPR dual, whose w columns are unit vectors)
-	// skip nearly all the work.
-	pivot := func(r, col int, piv float64) {
-		if inv := 1.0 / piv; inv != 1.0 {
-			row := s.tab[r]
-			for j := 0; j < s.nTot; j++ {
-				row[j] *= inv
-			}
-			s.rhsB[r] *= inv
-		}
-		rowR := s.tab[r]
-		for i := 0; i < m; i++ {
-			if i == r {
-				continue
-			}
-			f := s.tab[i][col]
-			if f == 0 {
-				continue
-			}
-			rowI := s.tab[i]
-			for j := 0; j < s.nTot; j++ {
-				rowI[j] -= f * rowR[j]
-			}
-			s.rhsB[i] -= f * s.rhsB[r]
-		}
-		s.basis[r] = col
-		s.inBasis[col] = true
+	w.prevAt.unset(prev.rowKey)
+	w.rowAt.unset(rowKeys)
+	w.varCol.unset(varKeys)
+	if declined {
+		return crashDeclined
 	}
-	pivoted := make([]bool, m)
+
+	fit(&w.pivoted, m, w.shrink)
+	pivoted := w.pivoted
+	clear(pivoted)
+	step := 0
 	for _, col := range cols {
-		best, bestAbs := -1, epsPivot
-		for i := 0; i < m; i++ {
-			if pivoted[i] {
-				continue
+		if step%deadlineStride == 0 && s.expired() {
+			return crashExpired
+		}
+		step++
+		home := w.homeRow(col)
+		best := -1
+		if home >= 0 && !pivoted[home] {
+			if math.Abs(s.tab[home*s.width+col]) > epsPivot {
+				best = home
 			}
-			if a := math.Abs(s.tab[i][col]); a > bestAbs {
-				best, bestAbs = i, a
+		} else if home != -2 {
+			bestAbs := epsPivot
+			for i := 0; i < m; i++ {
+				if pivoted[i] {
+					continue
+				}
+				if a := math.Abs(s.tab[i*s.width+col]); a > bestAbs {
+					best, bestAbs = i, a
+				}
 			}
 		}
 		if best < 0 {
 			continue // dependent or vanished column: its row falls back below
 		}
-		piv := fault.Corrupt("lp.warmcrash", s.tab[best][col])
+		piv := fault.Corrupt("lp.warmcrash", s.tab[best*s.width+col])
 		if math.IsNaN(piv) || math.IsInf(piv, 0) || math.Abs(piv) < epsPivot {
 			continue
 		}
-		pivot(best, col, piv)
+		w.crashPivot(p, best, col, piv, best != home)
 		pivoted[best] = true
 	}
 	for r := 0; r < m; r++ {
 		if pivoted[r] {
 			continue
 		}
+		if step%deadlineStride == 0 && s.expired() {
+			return crashExpired
+		}
+		step++
 		if !s.inBasis[n+r] {
-			pivot(r, n+r, s.tab[r][n+r]) // exactly −1 (see above)
+			w.crashPivot(p, r, n+r, s.tab[r*s.width+n+r], false) // exactly −1 (see above)
 		} else {
-			pivot(r, n+m+r, s.tab[r][n+m+r]) // exactly +1
+			// The artificial's column is +1 in row r and zero elsewhere: it
+			// becomes basic without any tableau work (and has no tableau
+			// column, see buildWarm).
+			s.basis[r] = n + m + r
+			s.inBasis[n+m+r] = true
 		}
 	}
-	return true
+	return crashInstalled
+}
+
+// homeRow is the only row holding column col's entries in the built
+// tableau: −1 when several rows do, −2 when none does.
+func (w *Workspace) homeRow(col int) int {
+	if col < w.s.n {
+		return int(w.unitRow[col])
+	}
+	return col - w.s.n // a surplus column
+}
+
+// crashPivot makes col basic in row r, touching only row r's nonzero
+// columns: for a row still as built (pristine) those are its entries plus
+// its surplus, otherwise a scan of the row finds them. sweep
+// false skips the elimination, for a column known to be zero outside row r.
+func (w *Workspace) crashPivot(p *Problem, r, col int, piv float64, sweep bool) {
+	s := &w.s
+	row := s.row(r)
+	nz := s.nz[:0]
+	if w.pristine[r] {
+		for _, e := range p.Rows[r].Entries {
+			nz = append(nz, e.Var)
+		}
+		nz = append(nz, s.n+r)
+	} else {
+		for j, v := range row {
+			if v != 0 {
+				nz = append(nz, j)
+			}
+		}
+	}
+	if inv := 1.0 / piv; inv != 1.0 {
+		scaleRow(row, inv, nz)
+		s.rhsB[r] *= inv
+	}
+	if sweep {
+		s.eliminate(r, col, nz, w.pristine)
+	}
+	s.basis[r] = col
+	s.inBasis[col] = true
 }
 
 // runDual restores primal feasibility from a dual-reasonable basis by dual
@@ -316,36 +455,14 @@ func (s *simplex) crashBasis(varKeys, rowKeys []int64, prev *Basis) bool {
 // within bounds, Infeasible when a violated row has no eligible entering
 // column (primal infeasible or hopeless mapping), IterLimit/Numerical on
 // budget exhaustion or corruption — everything but Optimal sends the caller
-// to the cold path.
-func (s *simplex) runDual(cost []float64) Status {
-	cols := make([]int, 0, s.nTot)
-	for j := 0; j < s.nTot; j++ {
-		if s.inBasis[j] || s.hi[j]-s.lo[j] >= epsBound || s.xval[j] != 0 {
-			cols = append(cols, j)
-		}
-	}
-	wcost := make([]float64, s.nTot)
+// to the cold path. On Optimal, dReady reports that no cost was ever
+// shifted, so s.d holds the exact reduced costs of cost (see run).
+func (s *simplex) runDual(cost []float64) (st Status, dReady bool) {
+	cols := s.activeCols()
+	wcost := s.wcost
 	copy(wcost, cost)
-	d := make([]float64, s.nTot)
-	cB := make([]float64, s.m)
-	recompute := func() {
-		for i := 0; i < s.m; i++ {
-			cB[i] = wcost[s.basis[i]]
-		}
-		for _, j := range cols {
-			d[j] = wcost[j]
-		}
-		for i := 0; i < s.m; i++ {
-			if cB[i] == 0 {
-				continue
-			}
-			row := s.tab[i]
-			c := cB[i]
-			for _, j := range cols {
-				d[j] -= c * row[j]
-			}
-		}
-	}
+	d := s.d
+	shifted := false
 	shift := func() {
 		for _, j := range cols {
 			if s.inBasis[j] {
@@ -354,23 +471,25 @@ func (s *simplex) runDual(cost []float64) Status {
 			if s.status[j] == atLower && d[j] < -epsCost {
 				wcost[j] += -d[j] + epsCost
 				d[j] = epsCost
+				shifted = true
 			} else if s.status[j] == atUpper && d[j] > epsCost {
 				wcost[j] += -epsCost - d[j]
 				d[j] = -epsCost
+				shifted = true
 			}
 		}
 	}
-	recompute()
+	s.reducedCosts(wcost, cols)
 	shift()
 
 	for ; s.iters < s.maxIter; s.iters++ {
-		if s.iters%64 == 63 && !s.deadline.IsZero() && time.Now().After(s.deadline) {
-			return IterLimit
+		if s.iters%deadlineStride == deadlineStride-1 && s.expired() {
+			return IterLimit, false
 		}
 		if s.iters%256 == 255 {
 			s.refreshBeta()
 			if s.corrupted() {
-				return Numerical
+				return Numerical, false
 			}
 		}
 		// Leaving row: most violated basic bound.
@@ -390,7 +509,7 @@ func (s *simplex) runDual(cost []float64) Status {
 			}
 		}
 		if r == -1 {
-			return Optimal // primal feasible
+			return Optimal, !shifted // primal feasible
 		}
 		leave := s.basis[r]
 		below := s.beta[r] < s.lo[leave]
@@ -406,7 +525,7 @@ func (s *simplex) runDual(cost []float64) Status {
 		enter := -1
 		bestRatio := math.Inf(1)
 		bestAbs := 0.0
-		row := s.tab[r]
+		row := s.row(r)
 		for _, j := range cols {
 			if s.inBasis[j] || s.hi[j]-s.lo[j] < epsBound {
 				continue
@@ -440,11 +559,11 @@ func (s *simplex) runDual(cost []float64) Status {
 			}
 		}
 		if enter == -1 {
-			return Infeasible // dual unbounded: no point salvaging this basis
+			return Infeasible, false // dual unbounded: no point salvaging this basis
 		}
 		piv := fault.Corrupt("lp.pivot", row[enter])
 		if math.IsNaN(piv) || math.IsInf(piv, 0) {
-			return Numerical
+			return Numerical, false
 		}
 		dir := 1.0
 		if s.status[enter] == atUpper {
@@ -455,7 +574,7 @@ func (s *simplex) runDual(cost []float64) Status {
 			t = 0 // numerical noise; pivot is still the right basis change
 		}
 		for i := 0; i < s.m; i++ {
-			s.beta[i] -= s.tab[i][enter] * dir * t
+			s.beta[i] -= s.tab[i*s.width+enter] * dir * t
 		}
 		if below {
 			s.status[leave] = atLower
@@ -469,58 +588,38 @@ func (s *simplex) runDual(cost []float64) Status {
 		s.inBasis[enter] = true
 		s.basis[r] = enter
 		s.beta[r] = enterVal
-		inv := 1.0 / piv
-		rowR := s.tab[r]
-		for _, j := range cols {
-			rowR[j] *= inv
-		}
-		s.rhsB[r] *= inv
-		for i := 0; i < s.m; i++ {
-			if i == r {
-				continue
-			}
-			f := s.tab[i][enter]
-			if f == 0 {
-				continue
-			}
-			rowI := s.tab[i]
-			for _, j := range cols {
-				rowI[j] -= f * rowR[j]
-			}
-			s.rhsB[i] -= f * s.rhsB[r]
-		}
+		s.pivotOn(r, enter, piv, cols)
 		// Full recompute per iteration: dual repair runs for a handful of
 		// steps at a typical node transition, so simplicity beats the
 		// incremental update here; shift keeps the next ratio test
 		// well-defined against drift.
-		recompute()
+		s.reducedCosts(wcost, cols)
 		shift()
 	}
-	return IterLimit
+	return IterLimit, false
 }
 
-// snapshot records the final basis under the caller's stable keys for reuse
-// by the next SolveWarm call. Rows whose basic variable is an artificial
-// (possible only on degenerate cold solves) are simply omitted — the crash
-// treats them as unmapped and installs their surplus.
-func (s *simplex) snapshot(varKeys, rowKeys []int64) *Basis {
-	b := &Basis{rows: make(map[int64]basicID, s.m)}
+// snapshot records the final basis into b under the caller's stable keys
+// for reuse by the next SolveWarm call. Rows whose basic variable is an
+// artificial (possible only on degenerate cold solves) are simply omitted —
+// the crash treats them as unmapped and installs their surplus.
+func (s *simplex) snapshot(varKeys, rowKeys []int64, b *Basis) {
+	if b == nil {
+		return
+	}
+	b.Reset()
 	for i := 0; i < s.m; i++ {
 		bi := s.basis[i]
 		switch {
 		case bi < s.n:
-			b.rows[rowKeys[i]] = basicID{key: varKeys[bi]}
+			b.add(rowKeys[i], varKeys[bi], false)
 		case bi < s.n+s.m:
-			b.rows[rowKeys[i]] = basicID{surplus: true, key: rowKeys[bi-s.n]}
+			b.add(rowKeys[i], rowKeys[bi-s.n], true)
 		}
 	}
 	for j := 0; j < s.n; j++ {
 		if !s.inBasis[j] && s.status[j] == atUpper {
-			if b.upper == nil {
-				b.upper = make(map[int64]bool)
-			}
-			b.upper[varKeys[j]] = true
+			b.upper = append(b.upper, varKeys[j])
 		}
 	}
-	return b
 }

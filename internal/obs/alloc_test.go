@@ -14,6 +14,7 @@
 package obs_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/bounds"
@@ -116,5 +117,81 @@ func TestReducerReduceAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
 		t.Fatalf("Reducer.Reduce allocated %.1f times per op; want 0 (arena regression)", allocs)
+	}
+}
+
+// coverProblem builds a costed covering instance: every variable costs
+// something and every row needs two of its literals, so the LPR bound is
+// positive and its LP has real rows and multipliers at every node.
+func coverProblem(n, m int, seed int64) *pb.Problem {
+	rng := rand.New(rand.NewSource(seed))
+	p := pb.NewProblem(n)
+	for v := 0; v < n; v++ {
+		p.SetCost(pb.Var(v), int64(1+rng.Intn(9)))
+	}
+	for i := 0; i < m; i++ {
+		terms := make([]pb.Term, 3+rng.Intn(4))
+		for k := range terms {
+			terms[k] = pb.Term{Coef: int64(1 + rng.Intn(3)), Lit: pb.PosLit(pb.Var(rng.Intn(n)))}
+		}
+		_ = p.AddConstraint(terms, pb.GE, 2)
+	}
+	return p
+}
+
+// lprWalkAllocs measures the allocations of one warm LPR.Estimate per node
+// over a fixed node walk (root, then a dive of depth nodes deciding the
+// lowest free variables false, then back to the root), once the state's
+// workspace and arenas have grown to the walk's LPs.
+func lprWalkAllocs(t *testing.T, n, m, depth int) float64 {
+	p := coverProblem(n, m, 3)
+	e := engine.New(p)
+	if e.SeedUnits() < 0 || e.Propagate() >= 0 {
+		t.Fatal("fixture conflicts at the root")
+	}
+	r := bounds.NewReducer(e)
+	est := bounds.LPR{State: &bounds.LPRState{}}
+	target := p.TotalCost() + 1
+	estimate := func() {
+		red := r.Reduce()
+		if red.Infeasible || len(red.Rows) == 0 {
+			t.Fatal("walk left the fixture's feasible interior")
+		}
+		if res := est.Estimate(e, red, p.Cost, target, bounds.Budget{}); res.Failed || res.Incomplete || res.Bound <= 0 {
+			t.Fatalf("estimate %+v: want a complete positive bound", res)
+		}
+	}
+	walk := func() {
+		estimate()
+		for d := 0; d < depth; d++ {
+			v := pb.Var(0)
+			for e.Value(v) != engine.Unassigned {
+				v++
+			}
+			e.Decide(pb.NegLit(v))
+			if e.Propagate() >= 0 {
+				t.Fatal("unexpected conflict in the walk")
+			}
+			estimate()
+		}
+		e.BacktrackTo(0)
+	}
+	for i := 0; i < 3; i++ { // grow the workspace, arenas and FracX map
+		walk()
+	}
+	return testing.AllocsPerRun(10, walk) / float64(depth+1)
+}
+
+// TestLPREstimateAllocs pins the allocations of a warm LPR estimation. Once
+// the LPRState's workspace has reached the size of the node LPs, a node
+// allocates only its Result's Responsible slice (the explanation rows, which
+// the caller owns), however large the LP: the same count on a 40-variable
+// and a 120-variable fixture.
+func TestLPREstimateAllocs(t *testing.T) {
+	const want = 1
+	for _, size := range []struct{ n, m, depth int }{{40, 60, 4}, {120, 180, 4}} {
+		if got := lprWalkAllocs(t, size.n, size.m, size.depth); got != want {
+			t.Fatalf("n=%d m=%d: %.2f allocations per LPR call, want %d", size.n, size.m, got, want)
+		}
 	}
 }

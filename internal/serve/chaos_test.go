@@ -80,7 +80,8 @@ func TestChaosAcceptance(t *testing.T) {
 			for k := 0; k < perC; k++ {
 				i := (c*perC + k) % len(pool)
 				solver := []string{"lpr", "plain", "lgr"}[k%3]
-				if c == 0 && k < 3 {
+				straggler := c == 0 && k < 3
+				if straggler {
 					solver = "mis" // the dedicated stragglers
 				}
 				j, aerr := s.Submit(pool[i], SubmitOptions{
@@ -88,6 +89,21 @@ func TestChaosAcceptance(t *testing.T) {
 					Solver:  solver,
 					Timeout: 2 * time.Second,
 				})
+				// A straggler shed by the saturated queue honours Retry-After
+				// and resubmits until admitted, like a well-behaved client:
+				// if the storm shed all three, no job would ever stall and the
+				// watchdog assertion below would fail for want of a subject.
+				for straggler && aerr != nil && aerr.Code == 429 {
+					mu.Lock()
+					shed++
+					mu.Unlock()
+					time.Sleep(time.Duration(aerr.RetryAfter) * time.Second)
+					j, aerr = s.Submit(pool[i], SubmitOptions{
+						Tenant:  fmt.Sprintf("t%d", c%5),
+						Solver:  solver,
+						Timeout: 2 * time.Second,
+					})
+				}
 				if aerr != nil {
 					mu.Lock()
 					if aerr.Code == 429 {
