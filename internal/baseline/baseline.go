@@ -53,6 +53,7 @@ func PBS(p *pb.Problem, lim Limits) core.Result {
 
 // Galena runs the Galena-style linear-search solver with preprocessing.
 func Galena(p *pb.Problem, lim Limits) core.Result {
+	start := time.Now()
 	pre, info, err := preprocess.Apply(p, preprocess.Options{
 		Probing:       true,
 		Strengthening: true,
@@ -65,13 +66,21 @@ func Galena(p *pb.Problem, lim Limits) core.Result {
 	} else if info.ProvedUnsat {
 		return core.Result{Status: core.StatusUnsat}
 	}
+	// Preprocessing counts against the time limit: the search gets what
+	// probing left of it.
+	limit := lim.TimeLimit
+	if limit > 0 {
+		if limit -= time.Since(start); limit <= 0 {
+			return core.Result{Status: core.StatusLimit}
+		}
+	}
 	return core.Solve(pre, core.Options{
 		Strategy:     core.StrategyLinearSearch,
 		LowerBound:   core.LBNone,
 		PBLearning:   true, // Galena's distinguishing cutting-plane learning
 		MaxConflicts: lim.MaxConflicts,
 		MaxDecisions: lim.MaxDecisions,
-		TimeLimit:    lim.TimeLimit,
+		TimeLimit:    limit,
 	})
 }
 

@@ -98,26 +98,6 @@ func (s *SharingStats) Active() bool {
 		s.ForeignRejected != 0
 }
 
-// verifyForeign re-verifies a board incumbent against the member's own
-// problem before adoption: right length, feasible, and the claimed internal
-// cost matches the assignment. Members trust the board for *pruning speed*
-// (BestUB tightens budgets without a certificate) but never for *proofs*:
-// an adopted incumbent becomes part of this member's terminal claim, so a
-// corrupt one — a torn write, a UB-only member with a lifting bug — must be
-// quarantined here rather than laundered into an "optimal"/"unsat" verdict.
-func (s *solver) verifyForeign(cost int64, vals []bool) bool {
-	if len(vals) != s.prob.NumVars || !s.prob.Feasible(vals) {
-		return false
-	}
-	var c int64
-	for v, cv := range s.prob.Cost {
-		if cv != 0 && vals[v] {
-			c += cv
-		}
-	}
-	return c == cost
-}
-
 // publishIncumbent offers the freshly improved local incumbent to the board.
 // Called with s.upper/s.bestVals already updated; must run before any clause
 // learned under the new bound can be published (the ordering DESIGN.md §9's
@@ -145,20 +125,9 @@ func (s *solver) adoptShared() {
 		return
 	}
 	cost, vals, ok := sh.BestIncumbent(s.upper)
-	if !ok {
+	if !ok || !s.adoptForeign(cost, vals, "foreign") {
 		return
 	}
-	if !s.verifyForeign(cost, vals) {
-		s.stats.Sharing.ForeignRejected++
-		s.trace.Emit(obs.EvIncumbent, "", cost+s.prob.CostOffset, 0, "foreign-rejected")
-		return
-	}
-	s.upper = cost
-	s.bestVals = vals
-	s.upperForeign = true
-	s.stats.Sharing.ForeignIncumbents++
-	s.trace.Emit(obs.EvIncumbent, "", cost+s.prob.CostOffset, 0, "foreign")
-	s.auditIncumbent()
 	if s.opt.OnIncumbent != nil {
 		s.opt.OnIncumbent(cost + s.prob.CostOffset)
 	}
@@ -178,18 +147,31 @@ func (s *solver) adoptFinal() {
 		return
 	}
 	if cost, vals, ok := sh.BestIncumbent(s.upper); ok {
-		if !s.verifyForeign(cost, vals) {
-			s.stats.Sharing.ForeignRejected++
-			s.trace.Emit(obs.EvIncumbent, "", cost+s.prob.CostOffset, 0, "foreign-rejected")
-			return
-		}
-		s.upper = cost
-		s.bestVals = vals
-		s.upperForeign = true
-		s.trace.Emit(obs.EvIncumbent, "", cost+s.prob.CostOffset, 0, "foreign-final")
-		s.stats.Sharing.ForeignIncumbents++
-		s.auditIncumbent()
+		s.adoptForeign(cost, vals, "foreign-final")
 	}
+}
+
+// adoptForeign makes a board incumbent this member's own after re-verifying
+// it with pb's witness check: right length, feasible, and the claimed
+// internal cost matches the assignment. Members trust the board for *pruning
+// speed* (BestUB tightens budgets without a certificate) but never for
+// *proofs*: an adopted incumbent becomes part of this member's terminal
+// claim, so a corrupt one — a torn write, a UB-only member with a lifting
+// bug — is quarantined here rather than laundered into an "optimal"/"unsat"
+// verdict.
+func (s *solver) adoptForeign(cost int64, vals []bool, tag string) bool {
+	if c, ok := s.prob.WitnessCost(vals); !ok || c != cost {
+		s.stats.Sharing.ForeignRejected++
+		s.trace.Emit(obs.EvIncumbent, "", cost+s.prob.CostOffset, 0, "foreign-rejected")
+		return false
+	}
+	s.upper = cost
+	s.bestVals = vals
+	s.upperForeign = true
+	s.stats.Sharing.ForeignIncumbents++
+	s.trace.Emit(obs.EvIncumbent, "", cost+s.prob.CostOffset, 0, tag)
+	s.auditIncumbent()
+	return true
 }
 
 // importShared drains the exchange ring into the engine. Called only at
@@ -202,23 +184,10 @@ func (s *solver) importShared() bool {
 	if sh == nil || s.eng.DecisionLevel() != 0 {
 		return true
 	}
-	// Audit support: the board's upper bound at drain time under-approximates
-	// every cost assumption behind the drained clauses (publishers put their
-	// incumbents on the board before their clauses enter the ring, and the
-	// board UB only decreases), so imported clauses are replayed — and the
-	// solver's own later learned clauses checked — under it.
-	var boardUB int64
-	var boardHasUB bool
-	if s.aud != nil {
-		boardUB, boardHasUB = sh.BestUB()
-	}
+	var audited [][]pb.Lit // imported clauses awaiting audit (auditor runs only)
 	auditImport := func(lits []pb.Lit) {
-		if s.aud == nil {
-			return
-		}
-		s.aud.ImportedClause(lits, boardUB, boardHasUB)
-		if boardHasUB && boardUB < s.minImportUB {
-			s.minImportUB = boardUB
+		if s.aud != nil {
+			audited = append(audited, lits)
 		}
 	}
 	ok := true
@@ -243,6 +212,24 @@ func (s *solver) importShared() bool {
 			ok = false
 		}
 	})
+	if len(audited) > 0 {
+		// The board's upper bound is read only after the drain: every drained
+		// clause entered the ring after its publisher's incumbent reached the
+		// board, and the board UB only decreases, so this bound
+		// under-approximates every cost assumption behind the drained clauses.
+		// Imported clauses are replayed — and the solver's own later learned
+		// clauses checked — under it. A read taken before the drain can
+		// predate the incumbent behind a clause the drain then delivers, and
+		// the auditor would check that clause against assignments its
+		// publisher had already excluded.
+		boardUB, boardHasUB := sh.BestUB()
+		for _, lits := range audited {
+			s.aud.ImportedClause(lits, boardUB, boardHasUB)
+		}
+		if boardHasUB && boardUB < s.minImportUB {
+			s.minImportUB = boardUB
+		}
+	}
 	installed := s.stats.Sharing.ClausesImported - installed0
 	conflicts := s.stats.Sharing.ImportConflicts - conflicts0
 	if installed != 0 || conflicts != 0 {

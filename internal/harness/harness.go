@@ -488,22 +488,27 @@ func fill(rr *RunResult, res core.Result) {
 	}
 }
 
+// memberConfigs returns the default four bsolo members with the cell's
+// limits copied into each; noteInc receives every member's incumbent
+// reports for the FirstIncumbent column.
+func memberConfigs(lim Limits, noteInc func(int64)) []portfolio.Config {
+	configs := portfolio.DefaultConfigs()
+	for i := range configs {
+		o := &configs[i].Options
+		o.TimeLimit, o.MaxConflicts = lim.Time, lim.MaxConflicts
+		o.NoIncrementalReduce, o.NoWarmLP = lim.NoIncrementalReduce, lim.NoWarmLP
+		o.NoCuts, o.CutRounds, o.CutMaxPool = lim.NoCuts, lim.CutRounds, lim.CutMaxPool
+		o.OnIncumbent = noteInc
+	}
+	return configs
+}
+
 // runPortfolio runs the default four-member race under the harness limits,
 // cooperatively or isolated; withLS appends one UB-only local-search member
 // (the portfolio-ls column). noteInc receives every member's incumbent
 // reports for the FirstIncumbent column.
 func runPortfolio(p *pb.Problem, lim Limits, isolated, withLS bool, noteInc func(int64)) portfolio.Result {
-	configs := portfolio.DefaultConfigs()
-	for i := range configs {
-		configs[i].Options.TimeLimit = lim.Time
-		configs[i].Options.MaxConflicts = lim.MaxConflicts
-		configs[i].Options.NoIncrementalReduce = lim.NoIncrementalReduce
-		configs[i].Options.NoWarmLP = lim.NoWarmLP
-		configs[i].Options.NoCuts = lim.NoCuts
-		configs[i].Options.CutRounds = lim.CutRounds
-		configs[i].Options.CutMaxPool = lim.CutMaxPool
-		configs[i].Options.OnIncumbent = noteInc
-	}
+	configs := memberConfigs(lim, noteInc)
 	if withLS {
 		cfg := portfolio.LSConfig("ls", 101, lsFlipBudget(lim))
 		cfg.LS.TimeLimit = lim.Time
@@ -524,17 +529,7 @@ func runPortfolio(p *pb.Problem, lim Limits, isolated, withLS bool, noteInc func
 // Builder() compilation (inst.Prob), which is exactly the space the
 // core-guided member's ExtendedWitness maps into.
 func runPortfolioWbo(inst Instance, lim Limits, noteInc func(int64)) portfolio.Result {
-	configs := portfolio.DefaultConfigs()
-	for i := range configs {
-		configs[i].Options.TimeLimit = lim.Time
-		configs[i].Options.MaxConflicts = lim.MaxConflicts
-		configs[i].Options.NoIncrementalReduce = lim.NoIncrementalReduce
-		configs[i].Options.NoWarmLP = lim.NoWarmLP
-		configs[i].Options.NoCuts = lim.NoCuts
-		configs[i].Options.CutRounds = lim.CutRounds
-		configs[i].Options.CutMaxPool = lim.CutMaxPool
-		configs[i].Options.OnIncumbent = noteInc
-	}
+	configs := memberConfigs(lim, noteInc)
 	cg := portfolio.Config{CoreGuided: &portfolio.CoreGuided{
 		Instance: inst.WBO,
 		Options:  wbo.Options{TimeLimit: lim.Time, MaxConflicts: lim.MaxConflicts},

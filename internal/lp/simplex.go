@@ -484,7 +484,7 @@ func (s *simplex) run(cost []float64, dReady bool) Status {
 
 	blandAfter := s.maxIter / 2
 	for ; s.iters < s.maxIter; s.iters++ {
-		if s.iters%deadlineStride == deadlineStride-1 && s.expired() {
+		if s.iterExpired() {
 			// Wall-clock budget exhausted: stop with the current (still
 			// primal-feasible) basis — the anytime outcome.
 			return IterLimit

@@ -483,7 +483,7 @@ func (s *simplex) runDual(cost []float64) (st Status, dReady bool) {
 	shift()
 
 	for ; s.iters < s.maxIter; s.iters++ {
-		if s.iters%deadlineStride == deadlineStride-1 && s.expired() {
+		if s.iterExpired() {
 			return IterLimit, false
 		}
 		if s.iters%256 == 255 {

@@ -82,14 +82,27 @@ type simplex struct {
 	cB    []float64 // basic costs
 	wcost []float64 // runDual's shifted working costs
 
-	iters    int
-	maxIter  int
-	deadline time.Time // zero = no wall-clock cap
+	iters     int
+	maxIter   int
+	deadline  time.Time // zero = no wall-clock cap
+	pollEvery int       // simplex iterations per wall-clock poll
 }
 
 // deadlineStride is how many loop steps share one wall-clock poll in the
-// tableau builds, the crash and both simplex loops.
+// tableau builds and the crash, and the most iterations the simplex loops
+// run between polls.
 const deadlineStride = 64
+
+// pollCells is the pivot work, in tableau cells, the simplex loops do
+// between wall-clock polls: a pivot updates every cell, so on a large
+// tableau 64 pivots between polls can outlast a whole solver budget.
+const pollCells = 1 << 20
+
+// iterExpired reports, once every pollEvery simplex iterations, whether the
+// wall-clock deadline has passed.
+func (s *simplex) iterExpired() bool {
+	return s.iters%s.pollEvery == s.pollEvery-1 && s.expired()
+}
 
 // expired reports whether the wall-clock deadline has passed.
 func (s *simplex) expired() bool { return pastDeadline(s.deadline) }
@@ -126,6 +139,7 @@ func (w *Workspace) prepare(p *Problem, artificials int) *simplex {
 	s.deadline = p.Deadline
 
 	cells := m * s.width
+	s.pollEvery = min(deadlineStride, max(1, pollCells/max(cells, 1)))
 	w.peakCells = max(w.peakCells, cells)
 	w.shrink = false
 	if 4*cells < cap(s.tab) {

@@ -428,13 +428,8 @@ func (s *solver) recordIncumbent() {
 	// Defensive re-verification in the ORIGINAL space before anything
 	// escapes: a Lift/offset bug must quarantine the assignment, not
 	// poison the board, the auditor, or the caller.
-	var extCost int64
-	for v, c := range s.orig.Cost {
-		if c != 0 && ext[v] {
-			extCost += c
-		}
-	}
-	if !s.orig.Feasible(ext) || extCost != s.cost+s.offDelta {
+	extCost, ok := s.orig.WitnessCost(ext)
+	if !ok || extCost != s.cost+s.offDelta {
 		s.stats.LiftRejected++
 		return
 	}

@@ -110,6 +110,11 @@ func Solve(p *pb.Problem, opt Options) Result {
 	}
 
 	base := buildLP(p, opt.LPIter)
+	// The node LPs poll the same deadline: one root LP of a large instance
+	// can outlast the whole budget, and the node loop alone checks the
+	// clock only between LPs. A cut-short LP ends as IterLimit, which the
+	// loop already handles.
+	base.Deadline = deadline
 	n := p.NumVars
 
 	res := Result{Status: StatusLimit, Best: math.MaxInt64}

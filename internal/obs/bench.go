@@ -175,6 +175,10 @@ const benchCompareFloorMs = 50
 //   - both solved, newMs > oldMs*tol + floor → regression
 //   - both unsolved, new incumbent worse (or lost) → regression
 //
+// and, for every row of cur whatever its solved state: wall_ms past the
+// snapshot's limit_ms by more than max(10%, floor) → regression (a time
+// limit is a promise).
+//
 // The reverse transitions are reported as improvements; cells present in
 // only one snapshot are notes. Comparing different benches (no shared
 // cells) yields only notes.
@@ -193,12 +197,16 @@ func CompareBench(old, cur *BenchSnapshot, tol float64) BenchDiff {
 		n := &cur.Rows[i]
 		k := key(n)
 		seen[k] = true
+		cell := fmt.Sprintf("%s/%s", n.Instance, n.Solver)
+		if cur.LimitMs > 0 && n.WallMs > cur.LimitMs+max(cur.LimitMs/10, benchCompareFloorMs) {
+			d.Regressions = append(d.Regressions,
+				fmt.Sprintf("%s: %.0fms overran the %.0fms limit", cell, n.WallMs, cur.LimitMs))
+		}
 		o, ok := oldRows[k]
 		if !ok {
-			d.Notes = append(d.Notes, fmt.Sprintf("%s/%s: new cell", n.Instance, n.Solver))
+			d.Notes = append(d.Notes, cell+": new cell")
 			continue
 		}
-		cell := fmt.Sprintf("%s/%s", n.Instance, n.Solver)
 		switch {
 		case o.Solved && !n.Solved:
 			why := "no longer solved"

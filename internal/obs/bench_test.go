@@ -85,10 +85,10 @@ func TestCompareBenchFlagsRegressions(t *testing.T) {
 func TestCompareBenchToleratesNoiseAndReportsImprovements(t *testing.T) {
 	old := sampleBench()
 	cur := sampleBench()
-	cur.Rows[0].WallMs = 160      // 1.33x with a 50ms floor: inside tolerance
-	cur.Rows[1].Solved = true     // plain now solves
-	cur.Rows[1].WallMs = 900      //
-	cur.Rows = cur.Rows[:2]       // portfolio cell disappears -> note
+	cur.Rows[0].WallMs = 160  // 1.33x with a 50ms floor: inside tolerance
+	cur.Rows[1].Solved = true // plain now solves
+	cur.Rows[1].WallMs = 900  //
+	cur.Rows = cur.Rows[:2]   // portfolio cell disappears -> note
 	d := CompareBench(old, cur, 1.5)
 	if d.HasRegressions() {
 		t.Fatalf("unexpected regressions:\n%s", d.String())
@@ -98,6 +98,43 @@ func TestCompareBenchToleratesNoiseAndReportsImprovements(t *testing.T) {
 	}
 	if len(d.Notes) != 1 || !strings.Contains(d.Notes[0], "missing") {
 		t.Fatalf("missing-cell note not reported: %+v", d.Notes)
+	}
+}
+
+// TestCompareBenchFlagsDeadlineOverruns: a row past limit + max(10%, 50ms)
+// regresses whatever its solved state and whether or not the old snapshot
+// has the cell; a row inside the slack does not.
+func TestCompareBenchFlagsDeadlineOverruns(t *testing.T) {
+	old := sampleBench()
+	cur := sampleBench()
+	cur.Rows[0].WallMs = 5400 // solved, but 400ms past a 5000ms limit (slack 500)
+	cur.Rows[1].WallMs = 5600 // unsolved, 600ms past
+	cur.Rows = append(cur.Rows, BenchRow{Instance: "synth-30-2", Family: "synth",
+		Solver: "portfolio-ls", WallMs: 9000}) // new cell, overran
+	d := CompareBench(old, cur, 100) // a huge tolerance: only the deadline can flag
+	if len(d.Regressions) != 2 {
+		t.Fatalf("want 2 deadline regressions, got %d:\n%s", len(d.Regressions), d.String())
+	}
+	rep := d.String()
+	for _, want := range []string{"synth-30-1/plain: 5600ms overran the 5000ms limit",
+		"synth-30-2/portfolio-ls: 9000ms overran"} {
+		if !strings.Contains(rep, want) {
+			t.Fatalf("report missing %q:\n%s", want, rep)
+		}
+	}
+	if strings.Contains(rep, "synth-30-1/lpr: 5400ms overran") {
+		t.Fatalf("a row inside the slack was flagged:\n%s", rep)
+	}
+
+	// A short limit: the 50ms floor is the slack (10% would be 20ms).
+	short := NewBenchSnapshot([]string{"sat"}, 200)
+	short.Rows = []BenchRow{
+		{Instance: "sat-1", Solver: "lpr", WallMs: 245},
+		{Instance: "sat-1", Solver: "portfolio", WallMs: 260},
+	}
+	d = CompareBench(short, short, 0)
+	if len(d.Regressions) != 1 || !strings.Contains(d.Regressions[0], "sat-1/portfolio") {
+		t.Fatalf("want only the portfolio row flagged:\n%s", d.String())
 	}
 }
 

@@ -60,7 +60,7 @@ func Parse(r io.Reader) (*pb.Problem, error) {
 			return nil
 		}
 		toks := pending
-		pending = nil
+		pending = pending[:0] // toks is dead once flush returns
 		isObj := false
 		if strings.EqualFold(toks[0], "min:") {
 			isObj = true
@@ -265,6 +265,7 @@ func validName(s string) bool {
 
 func parseTerms(toks []string, getVar func(string) pb.Var, lineNo int, products *productTable) ([]pb.Term, error) {
 	var terms []pb.Term
+	var lits []pb.Lit // reused per term: products.literal copies what it keeps
 	i := 0
 	for i < len(toks) {
 		coefTok := toks[i]
@@ -278,9 +279,9 @@ func parseTerms(toks []string, getVar func(string) pb.Var, lineNo int, products 
 		}
 		// One or more literal tokens follow (more than one = a nonlinear
 		// product term, per the OPB specification).
-		var lits []pb.Lit
+		lits = lits[:0]
 		for i < len(toks) {
-			if _, err := strconv.ParseInt(toks[i], 10, 64); err == nil {
+			if isCoef(toks[i]) {
 				break // next coefficient
 			}
 			litTok := toks[i]
@@ -313,6 +314,17 @@ func parseTerms(toks []string, getVar func(string) pb.Var, lineNo int, products 
 		terms = append(terms, pb.Term{Coef: coef, Lit: lit})
 	}
 	return terms, nil
+}
+
+// isCoef reports whether tok parses as a coefficient. Only a token starting
+// with a sign or a digit can, so variable names skip strconv, whose failure
+// allocates an error per literal.
+func isCoef(tok string) bool {
+	if tok == "" || tok[0] != '+' && tok[0] != '-' && (tok[0] < '0' || tok[0] > '9') {
+		return false
+	}
+	_, err := strconv.ParseInt(tok, 10, 64)
+	return err == nil
 }
 
 // ParseString parses an OPB instance from a string.

@@ -426,6 +426,22 @@ func (p *Problem) Feasible(values []bool) bool {
 	return true
 }
 
+// WitnessCost is the one check of what counts as a verified witness: values
+// must hold exactly NumVars entries and satisfy every constraint. On success
+// it returns the internal cost Σ Cost[v]·x_v recomputed from the values
+// (excluding CostOffset), which callers compare against any claimed cost.
+func (p *Problem) WitnessCost(values []bool) (cost int64, ok bool) {
+	if len(values) != p.NumVars || !p.Feasible(values) {
+		return 0, false
+	}
+	for v, c := range p.Cost {
+		if c != 0 && values[v] {
+			cost = satAdd(cost, c)
+		}
+	}
+	return cost, true
+}
+
 // Clone returns a deep copy of the problem.
 func (p *Problem) Clone() *Problem {
 	q := &Problem{

@@ -236,6 +236,33 @@ func TestProblemObjectiveAndOffset(t *testing.T) {
 	}
 }
 
+func TestWitnessCost(t *testing.T) {
+	p := NewProblem(2)
+	p.SetCost(0, 3)
+	p.SetCost(1, 5)
+	p.CostOffset = 7
+	_ = p.AddClause(PosLit(0), PosLit(1))
+	cases := []struct {
+		name   string
+		values []bool
+		cost   int64
+		ok     bool
+	}{
+		{"feasible", []bool{true, false}, 3, true},
+		{"both", []bool{true, true}, 8, true},
+		{"infeasible", []bool{false, false}, 0, false},
+		{"short", []bool{true}, 0, false},
+		{"long", []bool{true, false, true}, 0, false},
+		{"nil", nil, 0, false},
+	}
+	for _, tc := range cases {
+		cost, ok := p.WitnessCost(tc.values)
+		if ok != tc.ok || cost != tc.cost {
+			t.Errorf("%s: got (%d, %v) want (%d, %v)", tc.name, cost, ok, tc.cost, tc.ok)
+		}
+	}
+}
+
 func TestSetCostNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -101,53 +101,37 @@ func TestCoreGuidedMemberAloneProvesOptimum(t *testing.T) {
 	}
 }
 
-// TestSanitizeCoreGuidedDemotesBogusClaims drives the sanitizer directly
-// with claims a buggy (or mismatched) core-guided member could emit: an
-// optimal verdict without a witness, with an infeasible witness, or with a
-// cost that does not match the claim must all demote to StatusLimit.
-func TestSanitizeCoreGuidedDemotesBogusClaims(t *testing.T) {
+// TestBogusExactClaimDoesNotWin races an exact member whose optimality claim
+// fails verification — a core-guided member handed a problem that is not its
+// instance's compilation — against branch and bound. Its witness is
+// infeasible in the raced problem, so the verifier demotes the claim before
+// the winner logic sees it, nothing reaches the board, and the B&B member's
+// proof wins.
+func TestBogusExactClaimDoesNotWin(t *testing.T) {
 	in := &wbo.Instance{
 		NumVars: 1,
 		Soft: []wbo.SoftCons{
 			{Weight: 3, Terms: []pb.Term{{Coef: 1, Lit: pb.PosLit(0)}}, Cmp: pb.GE, Rhs: 1}},
 	}
-	b, err := in.Builder()
-	if err != nil {
-		t.Fatal(err)
+	// Same two-variable layout, but x0 is forbidden: the core-guided
+	// optimum (x0=1, selector 0, cost 0) is infeasible here; the true
+	// optimum is x1=1 at cost 3.
+	p := pb.NewProblem(2)
+	p.SetCost(1, 3)
+	_ = p.AddConstraint([]pb.Term{{Coef: 1, Lit: pb.NegLit(0)}}, pb.GE, 1)
+	_ = p.AddConstraint([]pb.Term{{Coef: 1, Lit: pb.PosLit(0)}, {Coef: 1, Lit: pb.PosLit(1)}}, pb.GE, 1)
+	configs := []Config{
+		{Name: "core-guided", CoreGuided: &CoreGuided{Instance: in}},
+		{Name: "plain", Options: core.Options{LowerBound: core.LBNone}},
 	}
-	p, err := b.Problem()
-	if err != nil {
-		t.Fatal(err)
+	res := SolveOpts(p, configs, Options{MaxConcurrent: 1})
+	if cg := res.Members[0]; cg.Status != core.StatusLimit || cg.HasSolution {
+		t.Fatalf("bogus claim not demoted: %v sol=%v", cg.Status, cg.HasSolution)
 	}
-
-	// No witness at all.
-	r := sanitizeCoreGuided(p, in, wbo.Result{Status: core.StatusOptimal, Best: 0})
-	if r.Status != core.StatusLimit || r.HasSolution {
-		t.Fatalf("witnessless optimal: got %v/%v want limit without solution", r.Status, r.HasSolution)
+	if res.Status != core.StatusOptimal || res.Best != 3 || res.Winner != "plain" {
+		t.Fatalf("got %v/%d winner %q, want optimal/3 from plain", res.Status, res.Best, res.Winner)
 	}
-
-	// Witness feasible but the claimed optimum disagrees with its cost:
-	// x0=0 violates the soft (compiled cost 3) while the claim says 0.
-	r = sanitizeCoreGuided(p, in, wbo.Result{
-		Status: core.StatusOptimal, Best: 0, HasSolution: true, Values: []bool{false}})
-	if r.Status != core.StatusLimit {
-		t.Fatalf("cost-mismatched optimal: status=%v want limit", r.Status)
-	}
-	if !r.HasSolution || r.Best != 3 {
-		t.Fatalf("verified witness should survive as an incumbent: sol=%v best=%d", r.HasSolution, r.Best)
-	}
-
-	// Unsat without the HardUnsat marker (assumption-relative refusal) must
-	// not become an unsatisfiability verdict for the compiled problem.
-	r = sanitizeCoreGuided(p, in, wbo.Result{Status: core.StatusUnsat})
-	if r.Status != core.StatusLimit {
-		t.Fatalf("non-hard unsat: status=%v want limit", r.Status)
-	}
-
-	// A consistent optimal claim passes through.
-	r = sanitizeCoreGuided(p, in, wbo.Result{
-		Status: core.StatusOptimal, Best: 0, HasSolution: true, Values: []bool{true}})
-	if r.Status != core.StatusOptimal || r.Best != 0 {
-		t.Fatalf("consistent optimal: got %v/%d want optimal/0", r.Status, r.Best)
+	if res.Board.BestOwner == "core-guided" {
+		t.Fatal("an unverified witness reached the board")
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"time"
 
 	"repro/internal/audit"
 	"repro/internal/core"
@@ -72,7 +73,7 @@ type Config struct {
 	// re-verified against the compiled problem before they can win the race
 	// or reach the board — an inconsistent instance/problem pair demotes
 	// every claim to the inconclusive StatusLimit instead of poisoning the
-	// race (the same defense-in-depth discipline as sanitizeUBOnly).
+	// race (the claim verifier every member's outcome passes through).
 	// Cancel is managed by Solve; the board's Share handle is used only for
 	// verified incumbent publication and is never passed into the wbo
 	// sub-solves.
@@ -125,8 +126,9 @@ func LSConfig(name string, seed int64, maxFlips int64) Config {
 }
 
 // Options configures the portfolio run as a whole (per-member limits live in
-// each Config's core.Options). The zero value is the default cooperative
-// race: sharing on, concurrency capped at GOMAXPROCS.
+// each Config's solver options; a member's TimeLimit counts from the start of
+// the race, not from when the member is scheduled). The zero value is the
+// default cooperative race: sharing on, concurrency capped at GOMAXPROCS.
 type Options struct {
 	// NoSharing disconnects the board entirely: members race in isolation
 	// (the pre-cooperative behaviour). Required for the deterministic mode
@@ -223,7 +225,9 @@ func (r *Result) TotalDecisions() int64 {
 
 // Solve races the given configurations cooperatively with default options.
 // Limits in each member's Options still apply individually (set a common
-// TimeLimit to bound the whole run).
+// TimeLimit to bound the whole run: every member's TimeLimit becomes an
+// absolute deadline when the race starts, so a member queued behind others
+// runs with the time that remains, or not at all).
 func Solve(p *pb.Problem, configs []Config) Result {
 	return SolveOpts(p, configs, Options{})
 }
@@ -238,6 +242,7 @@ func SolveWithCancel(p *pb.Problem, configs []Config, stop <-chan struct{}) Resu
 // SolveOpts races the given configurations under the given portfolio
 // options.
 func SolveOpts(p *pb.Problem, configs []Config, opts Options) Result {
+	start := time.Now() // every member's TimeLimit counts from here
 	if len(configs) == 0 {
 		configs = DefaultConfigs()
 	}
@@ -245,21 +250,15 @@ func SolveOpts(p *pb.Problem, configs []Config, opts Options) Result {
 	if maxConc <= 0 {
 		maxConc = runtime.GOMAXPROCS(0)
 	}
-	if maxConc > len(configs) {
-		maxConc = len(configs)
-	}
-	if maxConc < 1 {
-		maxConc = 1
-	}
+	maxConc = max(1, min(maxConc, len(configs)))
 
 	// The board and the per-member handles are created up front, in config
 	// order, so member ids are deterministic and every member can see
 	// incumbents published before it was scheduled.
 	var board *share.Board
-	var handles []*share.Member
+	handles := make([]*share.Member, len(configs)) // all nil with NoSharing
 	if !opts.NoSharing {
 		board = share.NewBoard(opts.Share)
-		handles = make([]*share.Member, len(configs))
 		for i, cfg := range configs {
 			if cfg.UBOnly() || cfg.CoreGuided != nil {
 				// UB-only and core-guided members neither publish nor drain
@@ -276,9 +275,8 @@ func SolveOpts(p *pb.Problem, configs []Config, opts Options) Result {
 	// Observability wiring: one live metrics source per member (registered
 	// up front so scrapers see the full roster before any member publishes),
 	// the board's snapshot function, and a name-stamped tracer handle each.
-	var lives []*obs.Live
+	lives := make([]*obs.Live, len(configs)) // all nil without a Registry
 	if opts.Registry != nil {
-		lives = make([]*obs.Live, len(configs))
 		for i, cfg := range configs {
 			lives[i] = &obs.Live{}
 			opts.Registry.RegisterSolver(cfg.name(), lives[i])
@@ -305,10 +303,12 @@ func SolveOpts(p *pb.Problem, configs []Config, opts Options) Result {
 		}()
 	}
 
+	conclusive := func(s core.Status) bool {
+		return s == core.StatusOptimal || s == core.StatusSatisfiable || s == core.StatusUnsat
+	}
 	type outcome struct {
-		idx  int
-		name string
-		res  core.Result
+		idx int
+		res core.Result
 	}
 	results := make(chan outcome, len(configs))
 
@@ -327,59 +327,41 @@ func SolveOpts(p *pb.Problem, configs []Config, opts Options) Result {
 		go func() {
 			defer wg.Done()
 			for i := range queue {
-				cfg := configs[i]
-				var m *share.Member
-				if handles != nil {
-					m = handles[i]
+				res := runMember(p, configs[i], start, cancel, handles[i], lives[i], &opts)
+				if conclusive(res.Status) {
+					// Stop the rest before this worker dequeues another member,
+					// so sequential mode stays deterministic.
+					closeCancel()
 				}
-				var live *obs.Live
-				if lives != nil {
-					live = lives[i]
-				}
-				switch {
-				case cfg.CoreGuided != nil:
-					results <- outcome{i, cfg.name(), runCoreGuidedMember(p, cfg, cancel, m, opts.Audit)}
-				case cfg.UBOnly():
-					results <- outcome{i, cfg.name(), runLSMember(p, cfg, cancel, m, opts.Audit,
-						opts.Trace.Named(cfg.name()), live)}
-				default:
-					results <- outcome{i, cfg.name(), runMember(p, cfg, cancel, m, opts.Audit,
-						opts.Trace.Named(cfg.name()), live)}
-				}
+				results <- outcome{i, res}
 			}
 		}()
 	}
 
 	var best Result
 	gotBest := false
-	conclusive := func(s core.Status) bool {
-		return s == core.StatusOptimal || s == core.StatusSatisfiable || s == core.StatusUnsat
-	}
-	var winner *outcome
+	var winner *Result
 	var errs map[string]error
 	members := make([]MemberResult, len(configs))
 	for i := 0; i < len(configs); i++ {
 		oc := <-results
-		if configs[oc.idx].UBOnly() {
-			oc.res = sanitizeUBOnly(p, oc.res)
-		}
-		members[oc.idx] = MemberResult{Name: oc.name, UBOnly: configs[oc.idx].UBOnly(), Result: oc.res}
+		name := configs[oc.idx].name()
+		members[oc.idx] = MemberResult{Name: name, UBOnly: configs[oc.idx].UBOnly(), Result: oc.res}
 		if oc.res.Status == core.StatusError {
 			// Panic isolation: record the crash and keep consuming results —
 			// the race degrades instead of aborting.
 			if errs == nil {
 				errs = map[string]error{}
 			}
-			errs[oc.name] = oc.res.Err
+			errs[name] = oc.res.Err
 			continue
 		}
 		if winner == nil && conclusive(oc.res.Status) {
-			winner = &oc
-			closeCancel() // stop the rest
+			winner = &Result{Result: oc.res, Winner: name} // its worker stopped the rest
 		}
 		// Track the best incumbent for the all-limits case.
 		if oc.res.HasSolution && (!gotBest || !best.HasSolution || oc.res.Best < best.Best) {
-			best = Result{Result: oc.res, Winner: oc.name}
+			best = Result{Result: oc.res, Winner: name}
 			gotBest = true
 		}
 	}
@@ -397,7 +379,7 @@ func SolveOpts(p *pb.Problem, configs []Config, opts Options) Result {
 		return r
 	}
 	if winner != nil {
-		return finalize(Result{Result: winner.res, Winner: winner.name})
+		return finalize(*winner)
 	}
 	if gotBest {
 		best.Status = core.StatusLimit
@@ -412,45 +394,26 @@ func SolveOpts(p *pb.Problem, configs []Config, opts Options) Result {
 // recomputed from the values (internal space, excluding CostOffset) — a
 // corrupted cache entry fails verification and the board stays empty.
 func SeedIncumbent(board *share.Board, p *pb.Problem, values []bool) bool {
-	if board == nil || values == nil || len(values) != p.NumVars || !p.Feasible(values) {
+	if board == nil || values == nil {
 		return false
 	}
-	var cost int64
-	for v, c := range p.Cost {
-		if c != 0 && values[v] {
-			cost += c
-		}
+	cost, ok := p.WitnessCost(values)
+	if !ok {
+		return false
 	}
 	// The seeder is incumbent-only: were it a clause member, its permanently
 	// stalled ring cursor would (wrongly) show up in the lap accounting.
 	return board.JoinNoClauses("warm").PublishIncumbent(cost, values)
 }
 
-// sanitizeUBOnly enforces the UB-only contract on a local-search member's
-// outcome before the winner logic can see it: an exhaustion verdict
-// (optimal/unsat) is structurally impossible for a member that merely
-// samples assignments, and a satisfiability claim is accepted only as a
-// verified witness on an objective-free instance. Anything else is demoted
-// to the inconclusive StatusLimit — defense in depth so that no future ls
-// change can turn an upper bound into a fake proof.
-func sanitizeUBOnly(p *pb.Problem, res core.Result) core.Result {
-	switch res.Status {
-	case core.StatusOptimal, core.StatusUnsat:
-		res.Status = core.StatusLimit
-	case core.StatusSatisfiable:
-		if p.HasObjective() || !res.HasSolution || len(res.Values) != p.NumVars || !p.Feasible(res.Values) {
-			res.Status = core.StatusLimit
-		}
-	}
-	return res
-}
-
-// runLSMember executes one local-search configuration behind the same panic
-// barrier as runMember and maps its UB-only outcome into the core.Result
-// shape the portfolio aggregates: a verified SAT witness on an
-// objective-free instance is conclusive (StatusSatisfiable); everything else
-// is StatusLimit, carrying the best incumbent when one was found.
-func runLSMember(p *pb.Problem, cfg Config, cancel <-chan struct{}, m *share.Member, aud *audit.Auditor, trace *obs.Tracer, live *obs.Live) (res core.Result) {
+// runMember executes one member behind the portfolio's only panic barrier,
+// so a crash (including one injected at the "portfolio.worker" fault point,
+// keyed by member name) becomes a StatusError outcome. The member's own
+// TimeLimit counts from the race start: dequeued later, it runs with what
+// remains, and with nothing left it does not start and reports StatusLimit
+// with zero stats. The switch only makes the solver call and maps the outcome
+// to a claim; every claim then passes the one verifier.
+func runMember(p *pb.Problem, cfg Config, start time.Time, cancel <-chan struct{}, sh *share.Member, live *obs.Live, opts *Options) (res core.Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = core.Result{
@@ -459,145 +422,162 @@ func runLSMember(p *pb.Problem, cfg Config, cancel <-chan struct{}, m *share.Mem
 			}
 		}
 	}()
+	limit := cfg.timeLimit()
+	if limit > 0 {
+		if limit -= time.Since(start); limit <= 0 {
+			return core.Result{Status: core.StatusLimit}
+		}
+	}
 	fault.Fire("portfolio.worker", cfg.name())
-	opt := *cfg.LS
-	opt.Cancel = cancel
-	if m != nil {
-		opt.Share = m
-	}
-	if aud != nil {
-		opt.Audit = aud
-	}
-	opt.Trace = trace
-	if live != nil {
-		opt.Live = live
-	}
-	lr := ls.Solve(p, opt)
-	if lr.Err != nil {
-		return core.Result{Status: core.StatusError, Err: lr.Err}
-	}
-	res = core.Result{
-		Status:      core.StatusLimit,
-		HasSolution: lr.HasSolution,
-		Best:        lr.Best,
-		Values:      lr.Values,
-	}
-	if lr.Satisfiable {
-		res.Status = core.StatusSatisfiable
-	}
-	res.Stats.Restarts = lr.Stats.Restarts
-	res.Stats.Solutions = lr.Stats.Improvements
-	res.Stats.Flips = lr.Stats.Flips
-	if m != nil {
-		res.Stats.Sharing.IncumbentsPublished = lr.Stats.BoardPublished
-		res.Stats.Sharing.IncumbentsWon = lr.Stats.BoardWon
-		res.Stats.Sharing.ForeignIncumbents = lr.Stats.BoardImports
-	}
-	return res
-}
-
-// sanitizeCoreGuided maps a core-guided outcome into the compiled problem's
-// space under the same defense-in-depth discipline as sanitizeUBOnly: the
-// witness is lifted via ExtendedWitness and re-verified against p, and an
-// optimality claim survives only when the verified compiled cost matches the
-// claimed optimum (minus the instance offset, which lives outside the
-// compiled objective). A hard-UNSAT verdict passes through — the compiled
-// problem's soft rows are always satisfiable via their selectors, so its
-// infeasibility is exactly the hard skeleton's. Anything that fails
-// verification is demoted to the inconclusive StatusLimit.
-func sanitizeCoreGuided(p *pb.Problem, in *wbo.Instance, r wbo.Result) core.Result {
-	res := core.Result{Status: core.StatusLimit, Err: r.Err}
-	res.Stats.Conflicts = r.Conflicts
-	if r.HasSolution && len(r.Values) >= in.NumVars {
-		ext := in.ExtendedWitness(r.Values)
-		if len(ext) == p.NumVars && p.Feasible(ext) {
-			res.HasSolution = true
-			res.Values = ext
-			res.Best = p.ObjectiveValue(ext)
+	var c claim
+	switch {
+	case cfg.CoreGuided != nil:
+		// The wbo sub-solves never see the board or the auditor, so no
+		// foreign clause or incumbent can leak into the core extraction.
+		opt := cfg.CoreGuided.Options
+		opt.Cancel, opt.TimeLimit = cancel, limit
+		c = coreGuidedClaim(p, cfg.CoreGuided.Instance, wbo.Solve(cfg.CoreGuided.Instance, opt))
+	case cfg.LS != nil:
+		opt := *cfg.LS
+		opt.Cancel, opt.TimeLimit = cancel, limit
+		if sh != nil {
+			opt.Share = sh
 		}
+		if opts.Audit != nil {
+			opt.Audit = opts.Audit
+		}
+		opt.Trace = opts.Trace.Named(cfg.name())
+		if live != nil {
+			opt.Live = live
+		}
+		lr := ls.Solve(p, opt)
+		if lr.Err != nil {
+			return core.Result{Status: core.StatusError, Err: lr.Err}
+		}
+		c.Status = core.StatusLimit
+		if lr.Satisfiable {
+			c.Status = core.StatusSatisfiable
+		}
+		c.HasSolution, c.Best, c.Values = lr.HasSolution, lr.Best, lr.Values
+		c.Stats.Restarts = lr.Stats.Restarts
+		c.Stats.Solutions = lr.Stats.Improvements
+		c.Stats.Flips = lr.Stats.Flips
+		if sh != nil {
+			c.Stats.Sharing.IncumbentsPublished = lr.Stats.BoardPublished
+			c.Stats.Sharing.IncumbentsWon = lr.Stats.BoardWon
+			c.Stats.Sharing.ForeignIncumbents = lr.Stats.BoardImports
+		}
+	default:
+		opt := cfg.Options
+		opt.Cancel, opt.TimeLimit = cancel, limit
+		if sh != nil {
+			opt.Share = sh
+		}
+		if opts.Audit != nil {
+			opt.Audit = opts.Audit
+		}
+		opt.Trace = opts.Trace.Named(cfg.name())
+		if live != nil {
+			// The registry-managed source wins; otherwise a Live handle set on
+			// the member's own Options (the serving layer's per-job watchdog
+			// heartbeat) is left in place instead of being clobbered with nil.
+			opt.Live = live
+		}
+		c = claim{Result: core.Solve(p, opt), exact: true, hardUnsat: true}
 	}
-	switch r.Status {
-	case core.StatusOptimal:
-		if res.HasSolution && res.Best == r.Best-in.Offset {
-			res.Status = core.StatusOptimal
-		}
-	case core.StatusUnsat:
-		if r.HardUnsat {
-			res.Status = core.StatusUnsat
-		}
-	case core.StatusError:
-		res.Status = core.StatusError
-	}
-	return res
-}
-
-// runCoreGuidedMember executes one core-guided configuration behind the same
-// panic barrier as runMember. The board handle is used only to publish the
-// verified terminal incumbent — the wbo sub-solves never see the board, so
-// no foreign clause or incumbent can leak into the core extraction — and
-// every claim is audited against the compiled problem after sanitization.
-func runCoreGuidedMember(p *pb.Problem, cfg Config, cancel <-chan struct{}, m *share.Member, aud *audit.Auditor) (res core.Result) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = core.Result{
-				Status: core.StatusError,
-				Err:    fmt.Errorf("portfolio: member %q panicked: %v\n%s", cfg.name(), r, debug.Stack()),
-			}
-		}
-	}()
-	fault.Fire("portfolio.worker", cfg.name())
-	cg := cfg.CoreGuided
-	opt := cg.Options
-	opt.Cancel = cancel
-	res = sanitizeCoreGuided(p, cg.Instance, wbo.Solve(cg.Instance, opt))
-	if res.HasSolution {
-		aud.Incumbent(res.Best, res.Values)
-		if m != nil && m.PublishIncumbent(res.Best, res.Values) {
-			res.Stats.Sharing.IncumbentsPublished++
-		}
-	}
-	switch res.Status {
-	case core.StatusOptimal:
-		aud.Termination(audit.Claim{Optimal: true, Best: res.Best})
-	case core.StatusUnsat:
-		aud.Termination(audit.Claim{Unsat: true})
-	case core.StatusLimit:
+	res = verify(p, c)
+	if cfg.CoreGuided != nil {
+		// Publish and audit what branch-and-bound and local-search members
+		// publish and audit from inside their own search.
 		if res.HasSolution {
-			aud.Termination(audit.Claim{UpperBound: true, Best: res.Best})
+			opts.Audit.Incumbent(res.Best, res.Values)
+			if sh != nil && sh.PublishIncumbent(res.Best, res.Values) {
+				res.Stats.Sharing.IncumbentsPublished++
+			}
+		}
+		switch {
+		case res.Status == core.StatusOptimal:
+			opts.Audit.Termination(audit.Claim{Optimal: true, Best: res.Best})
+		case res.Status == core.StatusUnsat:
+			opts.Audit.Termination(audit.Claim{Unsat: true})
+		case res.Status == core.StatusLimit && res.HasSolution:
+			opts.Audit.Termination(audit.Claim{UpperBound: true, Best: res.Best})
 		}
 	}
 	return res
 }
 
-// runMember executes one configuration behind a panic barrier, so a member
-// crash (including one injected at the "portfolio.worker" fault point,
-// keyed by member name) becomes a StatusError outcome.
-func runMember(p *pb.Problem, cfg Config, cancel <-chan struct{}, m *share.Member, aud *audit.Auditor, trace *obs.Tracer, live *obs.Live) (res core.Result) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = core.Result{
-				Status: core.StatusError,
-				Err:    fmt.Errorf("portfolio: member %q panicked: %v\n%s", cfg.name(), r, debug.Stack()),
-			}
-		}
-	}()
-	fault.Fire("portfolio.worker", cfg.name())
-	opt := cfg.Options
-	opt.Cancel = cancel
-	if m != nil {
-		opt.Share = m
+// claim is a member's outcome in the compiled problem's space before the
+// verifier sees it: status, witness (Values), claimed cost (Best, including
+// CostOffset), and what the member kind may prove. exact: the search is
+// complete, so OPTIMAL may pass. hardUnsat: an UNSAT verdict is about the
+// problem itself (always for branch and bound; for core-guided only with
+// wbo's HardUnsat).
+type claim struct {
+	core.Result
+	exact, hardUnsat bool
+}
+
+// coreGuidedClaim maps a wbo outcome into the compiled problem's space: the
+// witness is lifted via ExtendedWitness and the claimed cost drops the
+// instance offset, which lives outside the compiled objective. The compiled
+// soft rows are always satisfiable via their selectors, so compiled-UNSAT is
+// exactly wbo's HardUnsat.
+func coreGuidedClaim(p *pb.Problem, in *wbo.Instance, r wbo.Result) claim {
+	c := claim{exact: true, hardUnsat: r.HardUnsat}
+	c.Status, c.Err, c.Stats.Conflicts = r.Status, r.Err, r.Conflicts
+	if r.HasSolution && len(r.Values) >= in.NumVars {
+		c.HasSolution, c.Values = true, in.ExtendedWitness(r.Values)
+		c.Best = r.Best - in.Offset + p.CostOffset
 	}
-	if aud != nil {
-		opt.Audit = aud
+	return c
+}
+
+// verify is the portfolio's one claim verifier; every member's outcome
+// passes it before the winner logic. The result carries the witness's
+// recomputed cost, or no witness when pb.Problem.WitnessCost rejects it.
+// OPTIMAL passes only from an exact member whose verified cost equals the
+// claim; UNSAT only with the hard-UNSAT marker; SAT only with a verified,
+// cost-matching witness on an objective-free instance. Any other claim is
+// demoted to StatusLimit and keeps its verified incumbent, so no member bug
+// can turn an upper bound into a fake proof.
+func verify(p *pb.Problem, c claim) core.Result {
+	res := c.Result
+	var cost int64
+	verified := false
+	if res.HasSolution {
+		cost, verified = p.WitnessCost(res.Values)
 	}
-	opt.Trace = trace
-	if live != nil {
-		// The registry-managed source wins; otherwise a Live handle set on
-		// the member's own Options (the serving layer's per-job watchdog
-		// heartbeat) is left in place instead of being clobbered with nil.
-		opt.Live = live
+	matches := verified && cost+p.CostOffset == res.Best
+	if verified {
+		res.Best = cost + p.CostOffset
+	} else {
+		res.HasSolution, res.Best, res.Values = false, 0, nil
 	}
-	return core.Solve(p, opt)
+	pass := true // StatusLimit and StatusError pass as they are
+	switch res.Status {
+	case core.StatusOptimal:
+		pass = c.exact && matches
+	case core.StatusUnsat:
+		pass = c.hardUnsat
+	case core.StatusSatisfiable:
+		pass = matches && !p.HasObjective()
+	}
+	if !pass {
+		res.Status = core.StatusLimit
+	}
+	return res
+}
+
+// timeLimit is the member's own TimeLimit, whichever solver it configures.
+func (c Config) timeLimit() time.Duration {
+	switch {
+	case c.CoreGuided != nil:
+		return c.CoreGuided.Options.TimeLimit
+	case c.LS != nil:
+		return c.LS.TimeLimit
+	}
+	return c.Options.TimeLimit
 }
 
 func (c Config) name() string {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/pb"
+	"repro/internal/wbo"
 )
 
 func randomPBO(rng *rand.Rand, n, m int) *pb.Problem {
@@ -219,38 +220,91 @@ func TestLSOnlyPortfolioSatWitness(t *testing.T) {
 	}
 }
 
-// TestSanitizeUBOnly pins the defense-in-depth demotion: exhaustion verdicts
-// and unverifiable SAT claims from a UB-only member collapse to StatusLimit.
-func TestSanitizeUBOnly(t *testing.T) {
+// TestVerifyClaims is the one verifier's table: every member kind's claims
+// go through verify, and anything it cannot check collapses to StatusLimit
+// with only a verified incumbent kept. ubOnly, exact and coreGuided build a
+// local-search, branch-and-bound and core-guided claim respectively.
+func TestVerifyClaims(t *testing.T) {
+	// p: min x0 s.t. x0 ∨ x1. pf: objective-free, x0.
 	p := pb.NewProblem(2)
 	p.SetCost(0, 1)
 	_ = p.AddConstraint([]pb.Term{{Coef: 1, Lit: pb.PosLit(0)}, {Coef: 1, Lit: pb.PosLit(1)}}, pb.GE, 1)
-	feas := []bool{true, false}
-	cases := []struct {
-		name string
-		in   core.Result
-		want core.Status
-	}{
-		{"optimal demoted", core.Result{Status: core.StatusOptimal, HasSolution: true, Best: 1, Values: feas}, core.StatusLimit},
-		{"unsat demoted", core.Result{Status: core.StatusUnsat}, core.StatusLimit},
-		{"sat with objective demoted", core.Result{Status: core.StatusSatisfiable, HasSolution: true, Best: 1, Values: feas}, core.StatusLimit},
-		{"limit passes through", core.Result{Status: core.StatusLimit, HasSolution: true, Best: 1, Values: feas}, core.StatusLimit},
-		{"error passes through", core.Result{Status: core.StatusError}, core.StatusError},
-	}
-	for _, tc := range cases {
-		if got := sanitizeUBOnly(p, tc.in); got.Status != tc.want {
-			t.Errorf("%s: status=%v want %v", tc.name, got.Status, tc.want)
-		}
-	}
-	// Objective-free: a verified witness survives, a bogus one does not.
 	pf := pb.NewProblem(2)
 	_ = pf.AddConstraint([]pb.Term{{Coef: 1, Lit: pb.PosLit(0)}}, pb.GE, 1)
-	ok := core.Result{Status: core.StatusSatisfiable, HasSolution: true, Values: []bool{true, false}}
-	if got := sanitizeUBOnly(pf, ok); got.Status != core.StatusSatisfiable {
-		t.Errorf("verified witness demoted: %v", got.Status)
+	feas := []bool{true, false}
+
+	// pw: the compilation of one weight-3 soft unit x0 (x0, then its
+	// selector).
+	in := &wbo.Instance{
+		NumVars: 1,
+		Soft: []wbo.SoftCons{
+			{Weight: 3, Terms: []pb.Term{{Coef: 1, Lit: pb.PosLit(0)}}, Cmp: pb.GE, Rhs: 1}},
 	}
-	bad := core.Result{Status: core.StatusSatisfiable, HasSolution: true, Values: []bool{false, false}}
-	if got := sanitizeUBOnly(pf, bad); got.Status != core.StatusLimit {
-		t.Errorf("infeasible witness not demoted: %v", got.Status)
+	b, err := in.Builder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pw, err := b.Problem()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sol := func(st core.Status, best int64, values []bool) core.Result {
+		return core.Result{Status: st, HasSolution: true, Best: best, Values: values}
+	}
+	ubOnly := func(r core.Result) claim { return claim{Result: r} }
+	exact := func(r core.Result) claim { return claim{Result: r, exact: true, hardUnsat: true} }
+	coreGuided := func(r wbo.Result) claim { return coreGuidedClaim(pw, in, r) }
+
+	cases := []struct {
+		name    string
+		p       *pb.Problem
+		in      claim
+		want    core.Status
+		wantSol bool
+		best    int64
+	}{
+		// Local search: UB-only.
+		{"ls optimal demoted", p, ubOnly(sol(core.StatusOptimal, 1, feas)), core.StatusLimit, true, 1},
+		{"ls unsat demoted", p, ubOnly(core.Result{Status: core.StatusUnsat}), core.StatusLimit, false, 0},
+		{"ls sat with objective demoted", p, ubOnly(sol(core.StatusSatisfiable, 1, feas)), core.StatusLimit, true, 1},
+		{"ls limit passes through", p, ubOnly(sol(core.StatusLimit, 1, feas)), core.StatusLimit, true, 1},
+		{"ls error passes through", p, ubOnly(core.Result{Status: core.StatusError}), core.StatusError, false, 0},
+		{"ls verified sat witness", pf, ubOnly(sol(core.StatusSatisfiable, 0, []bool{true, false})), core.StatusSatisfiable, true, 0},
+		{"ls infeasible sat witness", pf, ubOnly(sol(core.StatusSatisfiable, 0, []bool{false, false})), core.StatusLimit, false, 0},
+
+		// Core-guided: witnesses lifted into the compiled space.
+		{"cg witnessless optimal", pw, coreGuided(wbo.Result{Status: core.StatusOptimal}), core.StatusLimit, false, 0},
+		// x0=0 violates the soft (compiled cost 3) while the claim says 0:
+		// the verified witness survives as an incumbent at its real cost.
+		{"cg cost-mismatched optimal", pw, coreGuided(wbo.Result{
+			Status: core.StatusOptimal, HasSolution: true, Values: []bool{false}}), core.StatusLimit, true, 3},
+		// Unsat without the HardUnsat marker (assumption-relative refusal)
+		// is no unsatisfiability verdict for the compiled problem.
+		{"cg non-hard unsat", pw, coreGuided(wbo.Result{Status: core.StatusUnsat}), core.StatusLimit, false, 0},
+		{"cg hard unsat", pw, coreGuided(wbo.Result{Status: core.StatusUnsat, HardUnsat: true}), core.StatusUnsat, false, 0},
+		{"cg consistent optimal", pw, coreGuided(wbo.Result{
+			Status: core.StatusOptimal, HasSolution: true, Values: []bool{true}}), core.StatusOptimal, true, 0},
+
+		// Branch and bound: exact, but its witness is checked all the same.
+		{"bb consistent optimal", p, exact(sol(core.StatusOptimal, 1, feas)), core.StatusOptimal, true, 1},
+		{"bb unsat", p, exact(core.Result{Status: core.StatusUnsat}), core.StatusUnsat, false, 0},
+		{"bb optimal infeasible witness", p, exact(sol(core.StatusOptimal, 0, []bool{false, false})), core.StatusLimit, false, 0},
+		{"bb optimal short witness", p, exact(sol(core.StatusOptimal, 1, []bool{true})), core.StatusLimit, false, 0},
+		{"bb optimal wrong cost", p, exact(sol(core.StatusOptimal, 0, feas)), core.StatusLimit, true, 1},
+		{"bb optimal without witness", p, exact(core.Result{Status: core.StatusOptimal, Best: 1}), core.StatusLimit, false, 0},
+		{"bb sat infeasible witness", pf, exact(sol(core.StatusSatisfiable, 0, []bool{false, true})), core.StatusLimit, false, 0},
+		{"bb sat wrong cost", pf, exact(sol(core.StatusSatisfiable, 5, []bool{true, true})), core.StatusLimit, true, 0},
+		{"bb sat with objective", p, exact(sol(core.StatusSatisfiable, 1, feas)), core.StatusLimit, true, 1},
+	}
+	for _, tc := range cases {
+		got := verify(tc.p, tc.in)
+		if got.Status != tc.want || got.HasSolution != tc.wantSol || got.Best != tc.best {
+			t.Errorf("%s: got %v sol=%v best=%d, want %v sol=%v best=%d",
+				tc.name, got.Status, got.HasSolution, got.Best, tc.want, tc.wantSol, tc.best)
+		}
+		if got.HasSolution && !tc.p.Feasible(got.Values) {
+			t.Errorf("%s: kept an infeasible witness", tc.name)
+		}
 	}
 }

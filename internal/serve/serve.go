@@ -480,7 +480,7 @@ func (s *Server) solveGuarded(j *Job, sess *session) (out solveOutcome) {
 		if v := fault.Corrupt("serve.cache", 0, j.Tenant); v != 0 {
 			warm = corruptValues(warm)
 		}
-		if len(warm) != j.prob.NumVars || !j.prob.Feasible(warm) {
+		if _, ok := j.prob.WitnessCost(warm); !ok {
 			sess.invalidate()
 			s.ctr.cacheFallback.Add(1)
 			warm = nil
@@ -550,10 +550,9 @@ func (s *Server) completeJob(j *Job, sess *session, out solveOutcome) {
 	res := out.res
 	if sess != nil {
 		var vals []bool
-		var cost int64
-		if res.HasSolution && len(res.Values) == j.prob.NumVars && j.prob.Feasible(res.Values) {
+		cost, ok := j.prob.WitnessCost(res.Values)
+		if res.HasSolution && ok {
 			vals = res.Values
-			cost = res.Best - j.prob.CostOffset
 			s.ctr.cacheStores.Add(1)
 		}
 		sess.release(vals, cost, sess.lpr)
