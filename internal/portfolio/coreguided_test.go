@@ -101,6 +101,43 @@ func TestCoreGuidedMemberAloneProvesOptimum(t *testing.T) {
 	}
 }
 
+// TestSanitizeCoreGuidedDemotesBogusClaims drives the verifier with claims
+// a buggy (or mismatched) core-guided member could emit: an optimal verdict
+// without a witness or with a cost that does not match the claim, and an
+// assumption-relative unsat, must all demote to StatusLimit. The witnesses
+// are lifted into the compiled space.
+func TestSanitizeCoreGuidedDemotesBogusClaims(t *testing.T) {
+	// pw: the compilation of one weight-3 soft unit x0 (x0, then its
+	// selector).
+	in := &wbo.Instance{
+		NumVars: 1,
+		Soft: []wbo.SoftCons{
+			{Weight: 3, Terms: []pb.Term{{Coef: 1, Lit: pb.PosLit(0)}}, Cmp: pb.GE, Rhs: 1}},
+	}
+	b, err := in.Builder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pw, err := b.Problem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coreGuided := func(r wbo.Result) claim { return coreGuidedClaim(pw, in, r) }
+	checkVerify(t, []verifyCase{
+		{"cg witnessless optimal", pw, coreGuided(wbo.Result{Status: core.StatusOptimal}), core.StatusLimit, false, 0},
+		// x0=0 violates the soft (compiled cost 3) while the claim says 0:
+		// the verified witness survives as an incumbent at its real cost.
+		{"cg cost-mismatched optimal", pw, coreGuided(wbo.Result{
+			Status: core.StatusOptimal, HasSolution: true, Values: []bool{false}}), core.StatusLimit, true, 3},
+		// Unsat without the HardUnsat marker (assumption-relative refusal)
+		// is no unsatisfiability verdict for the compiled problem.
+		{"cg non-hard unsat", pw, coreGuided(wbo.Result{Status: core.StatusUnsat}), core.StatusLimit, false, 0},
+		{"cg hard unsat", pw, coreGuided(wbo.Result{Status: core.StatusUnsat, HardUnsat: true}), core.StatusUnsat, false, 0},
+		{"cg consistent optimal", pw, coreGuided(wbo.Result{
+			Status: core.StatusOptimal, HasSolution: true, Values: []bool{true}}), core.StatusOptimal, true, 0},
+	})
+}
+
 // TestBogusExactClaimDoesNotWin races an exact member whose optimality claim
 // fails verification — a core-guided member handed a problem that is not its
 // instance's compilation — against branch and bound. Its witness is

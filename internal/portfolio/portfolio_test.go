@@ -8,7 +8,6 @@ import (
 	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/pb"
-	"repro/internal/wbo"
 )
 
 func randomPBO(rng *rand.Rand, n, m int) *pb.Problem {
@@ -220,83 +219,21 @@ func TestLSOnlyPortfolioSatWitness(t *testing.T) {
 	}
 }
 
-// TestVerifyClaims is the one verifier's table: every member kind's claims
-// go through verify, and anything it cannot check collapses to StatusLimit
-// with only a verified incumbent kept. ubOnly, exact and coreGuided build a
-// local-search, branch-and-bound and core-guided claim respectively.
-func TestVerifyClaims(t *testing.T) {
-	// p: min x0 s.t. x0 ∨ x1. pf: objective-free, x0.
-	p := pb.NewProblem(2)
-	p.SetCost(0, 1)
-	_ = p.AddConstraint([]pb.Term{{Coef: 1, Lit: pb.PosLit(0)}, {Coef: 1, Lit: pb.PosLit(1)}}, pb.GE, 1)
-	pf := pb.NewProblem(2)
-	_ = pf.AddConstraint([]pb.Term{{Coef: 1, Lit: pb.PosLit(0)}}, pb.GE, 1)
-	feas := []bool{true, false}
+// verifyCase is one row of a verifier table: the claim a member hands to
+// verify, and the status, witness presence and cost that must come out.
+type verifyCase struct {
+	name    string
+	p       *pb.Problem
+	in      claim
+	want    core.Status
+	wantSol bool
+	best    int64
+}
 
-	// pw: the compilation of one weight-3 soft unit x0 (x0, then its
-	// selector).
-	in := &wbo.Instance{
-		NumVars: 1,
-		Soft: []wbo.SoftCons{
-			{Weight: 3, Terms: []pb.Term{{Coef: 1, Lit: pb.PosLit(0)}}, Cmp: pb.GE, Rhs: 1}},
-	}
-	b, err := in.Builder()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pw, err := b.Problem()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sol := func(st core.Status, best int64, values []bool) core.Result {
-		return core.Result{Status: st, HasSolution: true, Best: best, Values: values}
-	}
-	ubOnly := func(r core.Result) claim { return claim{Result: r} }
-	exact := func(r core.Result) claim { return claim{Result: r, exact: true, hardUnsat: true} }
-	coreGuided := func(r wbo.Result) claim { return coreGuidedClaim(pw, in, r) }
-
-	cases := []struct {
-		name    string
-		p       *pb.Problem
-		in      claim
-		want    core.Status
-		wantSol bool
-		best    int64
-	}{
-		// Local search: UB-only.
-		{"ls optimal demoted", p, ubOnly(sol(core.StatusOptimal, 1, feas)), core.StatusLimit, true, 1},
-		{"ls unsat demoted", p, ubOnly(core.Result{Status: core.StatusUnsat}), core.StatusLimit, false, 0},
-		{"ls sat with objective demoted", p, ubOnly(sol(core.StatusSatisfiable, 1, feas)), core.StatusLimit, true, 1},
-		{"ls limit passes through", p, ubOnly(sol(core.StatusLimit, 1, feas)), core.StatusLimit, true, 1},
-		{"ls error passes through", p, ubOnly(core.Result{Status: core.StatusError}), core.StatusError, false, 0},
-		{"ls verified sat witness", pf, ubOnly(sol(core.StatusSatisfiable, 0, []bool{true, false})), core.StatusSatisfiable, true, 0},
-		{"ls infeasible sat witness", pf, ubOnly(sol(core.StatusSatisfiable, 0, []bool{false, false})), core.StatusLimit, false, 0},
-
-		// Core-guided: witnesses lifted into the compiled space.
-		{"cg witnessless optimal", pw, coreGuided(wbo.Result{Status: core.StatusOptimal}), core.StatusLimit, false, 0},
-		// x0=0 violates the soft (compiled cost 3) while the claim says 0:
-		// the verified witness survives as an incumbent at its real cost.
-		{"cg cost-mismatched optimal", pw, coreGuided(wbo.Result{
-			Status: core.StatusOptimal, HasSolution: true, Values: []bool{false}}), core.StatusLimit, true, 3},
-		// Unsat without the HardUnsat marker (assumption-relative refusal)
-		// is no unsatisfiability verdict for the compiled problem.
-		{"cg non-hard unsat", pw, coreGuided(wbo.Result{Status: core.StatusUnsat}), core.StatusLimit, false, 0},
-		{"cg hard unsat", pw, coreGuided(wbo.Result{Status: core.StatusUnsat, HardUnsat: true}), core.StatusUnsat, false, 0},
-		{"cg consistent optimal", pw, coreGuided(wbo.Result{
-			Status: core.StatusOptimal, HasSolution: true, Values: []bool{true}}), core.StatusOptimal, true, 0},
-
-		// Branch and bound: exact, but its witness is checked all the same.
-		{"bb consistent optimal", p, exact(sol(core.StatusOptimal, 1, feas)), core.StatusOptimal, true, 1},
-		{"bb unsat", p, exact(core.Result{Status: core.StatusUnsat}), core.StatusUnsat, false, 0},
-		{"bb optimal infeasible witness", p, exact(sol(core.StatusOptimal, 0, []bool{false, false})), core.StatusLimit, false, 0},
-		{"bb optimal short witness", p, exact(sol(core.StatusOptimal, 1, []bool{true})), core.StatusLimit, false, 0},
-		{"bb optimal wrong cost", p, exact(sol(core.StatusOptimal, 0, feas)), core.StatusLimit, true, 1},
-		{"bb optimal without witness", p, exact(core.Result{Status: core.StatusOptimal, Best: 1}), core.StatusLimit, false, 0},
-		{"bb sat infeasible witness", pf, exact(sol(core.StatusSatisfiable, 0, []bool{false, true})), core.StatusLimit, false, 0},
-		{"bb sat wrong cost", pf, exact(sol(core.StatusSatisfiable, 5, []bool{true, true})), core.StatusLimit, true, 0},
-		{"bb sat with objective", p, exact(sol(core.StatusSatisfiable, 1, feas)), core.StatusLimit, true, 1},
-	}
+// checkVerify runs verify over a table; anything it cannot check must
+// collapse to StatusLimit with only a verified incumbent kept.
+func checkVerify(t *testing.T, cases []verifyCase) {
+	t.Helper()
 	for _, tc := range cases {
 		got := verify(tc.p, tc.in)
 		if got.Status != tc.want || got.HasSolution != tc.wantSol || got.Best != tc.best {
@@ -307,4 +244,54 @@ func TestVerifyClaims(t *testing.T) {
 			t.Errorf("%s: kept an infeasible witness", tc.name)
 		}
 	}
+}
+
+// verifyProblems returns p: min x0 s.t. x0 ∨ x1, pf: objective-free, x0,
+// and a feasible witness of p.
+func verifyProblems() (p, pf *pb.Problem, feas []bool) {
+	p = pb.NewProblem(2)
+	p.SetCost(0, 1)
+	_ = p.AddConstraint([]pb.Term{{Coef: 1, Lit: pb.PosLit(0)}, {Coef: 1, Lit: pb.PosLit(1)}}, pb.GE, 1)
+	pf = pb.NewProblem(2)
+	_ = pf.AddConstraint([]pb.Term{{Coef: 1, Lit: pb.PosLit(0)}}, pb.GE, 1)
+	return p, pf, []bool{true, false}
+}
+
+func sol(st core.Status, best int64, values []bool) core.Result {
+	return core.Result{Status: st, HasSolution: true, Best: best, Values: values}
+}
+
+// TestSanitizeUBOnly pins the defense-in-depth demotion of local-search
+// (UB-only) claims: exhaustion verdicts and unverifiable SAT claims collapse
+// to StatusLimit.
+func TestSanitizeUBOnly(t *testing.T) {
+	p, pf, feas := verifyProblems()
+	ubOnly := func(r core.Result) claim { return claim{Result: r} }
+	checkVerify(t, []verifyCase{
+		{"ls optimal demoted", p, ubOnly(sol(core.StatusOptimal, 1, feas)), core.StatusLimit, true, 1},
+		{"ls unsat demoted", p, ubOnly(core.Result{Status: core.StatusUnsat}), core.StatusLimit, false, 0},
+		{"ls sat with objective demoted", p, ubOnly(sol(core.StatusSatisfiable, 1, feas)), core.StatusLimit, true, 1},
+		{"ls limit passes through", p, ubOnly(sol(core.StatusLimit, 1, feas)), core.StatusLimit, true, 1},
+		{"ls error passes through", p, ubOnly(core.Result{Status: core.StatusError}), core.StatusError, false, 0},
+		{"ls verified sat witness", pf, ubOnly(sol(core.StatusSatisfiable, 0, []bool{true, false})), core.StatusSatisfiable, true, 0},
+		{"ls infeasible sat witness", pf, ubOnly(sol(core.StatusSatisfiable, 0, []bool{false, false})), core.StatusLimit, false, 0},
+	})
+}
+
+// TestVerifyClaims pins the verifier on branch-and-bound claims: exact, but
+// its witness is checked all the same.
+func TestVerifyClaims(t *testing.T) {
+	p, pf, feas := verifyProblems()
+	exact := func(r core.Result) claim { return claim{Result: r, exact: true, hardUnsat: true} }
+	checkVerify(t, []verifyCase{
+		{"bb consistent optimal", p, exact(sol(core.StatusOptimal, 1, feas)), core.StatusOptimal, true, 1},
+		{"bb unsat", p, exact(core.Result{Status: core.StatusUnsat}), core.StatusUnsat, false, 0},
+		{"bb optimal infeasible witness", p, exact(sol(core.StatusOptimal, 0, []bool{false, false})), core.StatusLimit, false, 0},
+		{"bb optimal short witness", p, exact(sol(core.StatusOptimal, 1, []bool{true})), core.StatusLimit, false, 0},
+		{"bb optimal wrong cost", p, exact(sol(core.StatusOptimal, 0, feas)), core.StatusLimit, true, 1},
+		{"bb optimal without witness", p, exact(core.Result{Status: core.StatusOptimal, Best: 1}), core.StatusLimit, false, 0},
+		{"bb sat infeasible witness", pf, exact(sol(core.StatusSatisfiable, 0, []bool{false, true})), core.StatusLimit, false, 0},
+		{"bb sat wrong cost", pf, exact(sol(core.StatusSatisfiable, 5, []bool{true, true})), core.StatusLimit, true, 0},
+		{"bb sat with objective", p, exact(sol(core.StatusSatisfiable, 1, feas)), core.StatusLimit, true, 1},
+	})
 }
