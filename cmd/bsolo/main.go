@@ -61,11 +61,7 @@ func main() {
 		presolve     = flag.Bool("presolve", false, "fix variables by probing + roof-duality-style persistency and solve the reduced problem (results are mapped back to the original variables)")
 		coverRed     = flag.Bool("cover", false, "apply covering-problem reductions (implies -preprocess machinery)")
 		pbLearn      = flag.Bool("pb-learning", false, "derive Galena-style cutting-plane constraints at conflicts")
-		incremental  = flag.Bool("incremental", true, "maintain the reduced problem incrementally across nodes (false = rebuild per node)")
-		warmLP       = flag.Bool("warm-lp", true, "warm-start the LPR simplex from the previous node's basis")
 		cutsOn       = flag.Bool("cuts", true, "with -lb lpr: separate knapsack-cover and clique cuts into a managed pool")
-		cutRounds    = flag.Int("cut-rounds", 0, "with -cuts: root separation fixpoint cap (0 = default)")
-		cutMaxPool   = flag.Int("cut-max-pool", 0, "with -cuts: cut pool capacity before activity-based eviction (0 = default)")
 		portfolioRun = flag.Bool("portfolio", false, "race all four lower-bound methods concurrently")
 		shareOn      = flag.Bool("share", true, "with -portfolio: cooperative sharing (incumbents + learned clauses); false = isolated race")
 		shareLen     = flag.Int("share-len", 8, "with -portfolio -share: max literals of an exchanged clause")
@@ -188,11 +184,7 @@ func main() {
 		PBLearning:           *pbLearn,
 		BoundBudget:          *boundBudget,
 		FallbackAfter:        *fallbackK,
-		NoIncrementalReduce:  !*incremental,
-		NoWarmLP:             !*warmLP,
 		NoCuts:               !*cutsOn,
-		CutRounds:            *cutRounds,
-		CutMaxPool:           *cutMaxPool,
 	}
 
 	// SIGINT/SIGTERM close the Cancel channel so the search unwinds
@@ -285,8 +277,6 @@ func main() {
 			configs[i].Options.BoundBudget = opt.BoundBudget
 			configs[i].Options.FallbackAfter = opt.FallbackAfter
 			configs[i].Options.NoCuts = opt.NoCuts
-			configs[i].Options.CutRounds = opt.CutRounds
-			configs[i].Options.CutMaxPool = opt.CutMaxPool
 		}
 		// LS members go first: irrelevant when members race concurrently,
 		// but under serialized execution (capped -members, low GOMAXPROCS)

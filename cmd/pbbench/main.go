@@ -89,11 +89,6 @@ func run(stdout, stderr io.Writer, args []string) int {
 		ablations  = fs.Bool("ablations", false, "run the A1-A7 ablations instead of Table 1")
 
 		presolve     = fs.Bool("presolve", false, "fix variables by probing + persistency presolve before every run (fixedVars/propsPerSec land in the CSV and snapshot rows)")
-		incremental  = fs.Bool("incremental", true, "incremental reduced-problem maintenance in the bsolo columns")
-		warmLP       = fs.Bool("warm-lp", true, "LP warm starting in the lpr column")
-		cutsOn       = fs.Bool("cuts", true, "knapsack-cover/clique cut separation in the lpr column")
-		cutRounds    = fs.Int("cut-rounds", 0, "root separation fixpoint cap (0 = default)")
-		cutMaxPool   = fs.Int("cut-max-pool", 0, "cut pool capacity (0 = default)")
 		boundProfile = fs.Bool("bound-profile", false, "print per-solver bound-pipeline timing after the table")
 
 		snapshotOut = fs.String("snapshot", "", "write the run as a versioned bench snapshot JSON (\"auto\" = BENCH_<family>_<date>.json)")
@@ -170,9 +165,7 @@ func run(stdout, stderr io.Writer, args []string) int {
 	fmt.Fprintf(stdout, "running %d instances x %d solvers (limit %v per run)\n",
 		len(insts), len(cols), *timeLimit)
 
-	lim := harness.Limits{Time: *timeLimit, MaxConflicts: *conflicts, MilpNodes: *milpNodes,
-		NoIncrementalReduce: !*incremental, NoWarmLP: !*warmLP, Presolve: *presolve,
-		NoCuts: !*cutsOn, CutRounds: *cutRounds, CutMaxPool: *cutMaxPool}
+	lim := harness.Limits{Time: *timeLimit, MaxConflicts: *conflicts, MilpNodes: *milpNodes, Presolve: *presolve}
 	var results []harness.RunResult
 	for _, inst := range insts {
 		for _, id := range cols {

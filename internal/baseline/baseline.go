@@ -24,19 +24,8 @@ import (
 
 // Limits bounds a baseline run.
 type Limits struct {
-	MaxConflicts int64
-	MaxDecisions int64
 	TimeLimit    time.Duration
-	// NoIncrementalReduce / NoWarmLP disable the incremental bound pipeline
-	// (per-node Extract, cold LP solves) for ablation runs; they affect only
-	// the bsolo columns, which are the only users of lower bounding.
-	NoIncrementalReduce bool
-	NoWarmLP            bool
-	// NoCuts disables LPR cutting-plane separation; CutRounds / CutMaxPool
-	// override the separation fixpoint cap and pool capacity (0 = defaults).
-	NoCuts     bool
-	CutRounds  int
-	CutMaxPool int
+	MaxConflicts int64
 }
 
 // PBS runs the PBS-style linear-search solver.
@@ -45,7 +34,6 @@ func PBS(p *pb.Problem, lim Limits) core.Result {
 		Strategy:     core.StrategyLinearSearch,
 		LowerBound:   core.LBNone,
 		MaxConflicts: lim.MaxConflicts,
-		MaxDecisions: lim.MaxDecisions,
 		TimeLimit:    lim.TimeLimit,
 		RestartBase:  -1, // no Luby restarts; restart only on new solutions
 	})
@@ -79,7 +67,6 @@ func Galena(p *pb.Problem, lim Limits) core.Result {
 		LowerBound:   core.LBNone,
 		PBLearning:   true, // Galena's distinguishing cutting-plane learning
 		MaxConflicts: lim.MaxConflicts,
-		MaxDecisions: lim.MaxDecisions,
 		TimeLimit:    limit,
 	})
 }
@@ -91,13 +78,7 @@ func Bsolo(p *pb.Problem, method core.Method, lim Limits) core.Result {
 		Strategy:             core.StrategyBranchBound,
 		LowerBound:           method,
 		MaxConflicts:         lim.MaxConflicts,
-		MaxDecisions:         lim.MaxDecisions,
 		TimeLimit:            lim.TimeLimit,
 		CardinalityInference: true,
-		NoIncrementalReduce:  lim.NoIncrementalReduce,
-		NoWarmLP:             lim.NoWarmLP,
-		NoCuts:               lim.NoCuts,
-		CutRounds:            lim.CutRounds,
-		CutMaxPool:           lim.CutMaxPool,
 	})
 }

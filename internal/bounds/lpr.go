@@ -60,7 +60,8 @@ type LPR struct {
 	ZeroSlackExplanations bool
 	// State, when non-nil, enables warm-started LP solves: the basis of each
 	// solve is snapshotted into State and reused by the next call (see
-	// LPRState). nil preserves the cold per-node behaviour.
+	// LPRState). The search always sets it; nil solves cold in fresh memory,
+	// the stateless oracle the tests compare against.
 	State *LPRState
 	// Cuts, when non-nil, is the managed cut pool: pooled cuts tighten every
 	// node LP, and the estimator separates new ones at LP optima under the
@@ -327,11 +328,11 @@ func (l LPR) solveDual(sc *lprScratch, inst *cutInstall, bud *Budget) (lp.Soluti
 	sol, err := sc.ws.SolveWarm(prob, sc.dual.varKeys, sc.dual.rowKeys, &st.basis)
 	if err == nil {
 		if sol.Warm {
-			st.warmSolves.Add(1)
+			st.warmSolves++
 		} else {
-			st.coldSolves.Add(1)
+			st.coldSolves++
 			if hadBasis {
-				st.warmFallbacks.Add(1)
+				st.warmFallbacks++
 			}
 		}
 	}

@@ -1,8 +1,6 @@
 package bounds
 
 import (
-	"sync/atomic"
-
 	"repro/internal/lp"
 	"repro/internal/pb"
 )
@@ -30,8 +28,8 @@ import (
 // costs one cold solve and nothing else.
 //
 // The zero value is ready to use. Not safe for concurrent use, matching the
-// single-threaded search loop; the counters are read with atomics only so
-// harness goroutines may sample them mid-run.
+// single-threaded search loop: only the solver goroutine that runs the
+// estimations reads the counters.
 type LPRState struct {
 	basis lp.Basis
 
@@ -39,12 +37,12 @@ type LPRState struct {
 	// call, and again after Release).
 	scratch *lprScratch
 
-	// Counters (sampled by Stats): warm solves, cold solves (first node,
-	// invalidations, and fallbacks), and the subset of cold solves where a
-	// warm attempt was abandoned mid-flight.
-	warmSolves    atomic.Int64
-	coldSolves    atomic.Int64
-	warmFallbacks atomic.Int64
+	// Counters (sampled by Stats, zeroed by ResetCounters): warm solves,
+	// cold solves (first node, invalidations, and fallbacks), and the subset
+	// of cold solves where a warm attempt was abandoned mid-flight.
+	warmSolves    int64
+	coldSolves    int64
+	warmFallbacks int64
 }
 
 // lprScratch is the memory one LPR estimation works in, reused by the next.
@@ -90,18 +88,25 @@ func (st *LPRState) Release() {
 	}
 }
 
+// ResetCounters zeroes the warm/cold/fallback counts and keeps the basis.
+// The search calls it when a solve starts, so a state reused across solves
+// reports each solve's own counts.
+func (st *LPRState) ResetCounters() {
+	st.warmSolves, st.coldSolves, st.warmFallbacks = 0, 0, 0
+}
+
 // HasBasis reports whether a basis is currently stored (diagnostics only).
 func (st *LPRState) HasBasis() bool { return st != nil && st.basis.Len() > 0 }
 
 // WarmSolves returns the number of LP solves that reused a previous basis.
-func (st *LPRState) WarmSolves() int64 { return st.warmSolves.Load() }
+func (st *LPRState) WarmSolves() int64 { return st.warmSolves }
 
 // ColdSolves returns the number of from-scratch LP solves.
-func (st *LPRState) ColdSolves() int64 { return st.coldSolves.Load() }
+func (st *LPRState) ColdSolves() int64 { return st.coldSolves }
 
 // WarmFallbacks returns the number of cold solves that began as warm
 // attempts (poor mapping, corrupted pivots, numerical trouble).
-func (st *LPRState) WarmFallbacks() int64 { return st.warmFallbacks.Load() }
+func (st *LPRState) WarmFallbacks() int64 { return st.warmFallbacks }
 
 // fit returns buf resized to length n, reusing its memory when that is
 // large enough and allocating exactly n otherwise. The arenas only grow,

@@ -58,17 +58,17 @@ func (p *ProcStats) MeanTime() time.Duration {
 
 // Stats is the bound-pipeline observability block: reduced-problem
 // construction cost plus one ProcStats per estimator, and the LP
-// warm-start counters when LPR ran with persistent state.
+// warm-start counters when LPR ran.
 type Stats struct {
-	// Incremental reports whether the persistent Reducer produced the
-	// reduced problems (false = from-scratch Extract per node).
+	// Incremental reports whether the persistent Reducer ran (every solve
+	// that bounds; false only for LBNone, which never reduces).
 	Incremental bool
 	// Reduces counts reduced-problem constructions; ReduceTime their total
 	// wall-clock cost.
 	Reduces    int64
 	ReduceTime time.Duration
 
-	// Warm-start counters (LPR with persistent state only).
+	// Warm-start counters (LPR only).
 	//
 	// WarmSolves counts LP solves that reused the previous basis;
 	// ColdSolves counts from-scratch solves (first node, invalidations, and
@@ -154,11 +154,7 @@ func (s *Stats) Names() []string {
 // CLI's "-stats" output.
 func (s *Stats) String() string {
 	var sb strings.Builder
-	mode := "extract"
-	if s.Incremental {
-		mode = "incremental"
-	}
-	fmt.Fprintf(&sb, "reduce[%s]: %d calls %v", mode, s.Reduces, s.ReduceTime.Round(time.Microsecond))
+	fmt.Fprintf(&sb, "reduce: %d calls %v", s.Reduces, s.ReduceTime.Round(time.Microsecond))
 	if s.WarmSolves+s.ColdSolves > 0 {
 		fmt.Fprintf(&sb, "; lp: %d warm %d cold (%d fallbacks)",
 			s.WarmSolves, s.ColdSolves, s.WarmFallbacks)

@@ -159,28 +159,13 @@ type Options struct {
 	// regardless of the breaker state.
 	FallbackAfter int
 
-	// NoIncrementalReduce disables the persistent incremental Reducer and
-	// rebuilds the reduced problem from scratch at every node
-	// (bounds.Extract) — the pre-incremental behaviour, kept for ablation
-	// and as a differential-testing oracle.
-	NoIncrementalReduce bool
-	// NoWarmLP disables LP warm starting for LBLPR: every node's LP is
-	// solved cold. Kept for ablation; warm starts never change results
-	// (see bounds.LPRState), only node cost.
-	NoWarmLP bool
 	// NoCuts disables cutting-plane separation for LBLPR: node LPs are
 	// solved over the reduced rows alone, with no pool. Cuts are on by
-	// default for LBLPR (mirroring warm starts); the flag exists for
-	// ablation and differential testing — cuts tighten bounds but never
-	// change optima (every pooled cut is implied by the problem; the
-	// auditor's PooledCut hook replays that claim).
+	// default for LBLPR; the flag exists for ablation (A7) and differential
+	// testing — cuts tighten bounds but never change optima (every pooled
+	// cut is implied by the problem; the auditor's PooledCut hook replays
+	// that claim).
 	NoCuts bool
-	// CutRounds overrides the root separation fixpoint cap (0 = the
-	// internal/cuts default).
-	CutRounds int
-	// CutMaxPool overrides the cut pool capacity (0 = the internal/cuts
-	// default).
-	CutMaxPool int
 
 	// LPRState, when non-nil, supplies a persistent LP warm-start state that
 	// outlives this solve: the serving layer's solve-session cache hands the
@@ -190,8 +175,10 @@ type Options struct {
 	// under search-stable keys and falls back to a cold solve whenever the
 	// mapping is poor or numerically suspect, so a stale or corrupted cached
 	// basis costs one cold solve, never a wrong bound. Ignored unless
-	// LowerBound is LBLPR and NoWarmLP is false. Not safe for concurrent use:
-	// the caller must hand one state to at most one running solve at a time.
+	// LowerBound is LBLPR. The solve zeroes the state's LP counters when it
+	// starts, so Stats reports this solve's own counts. Not safe for
+	// concurrent use: the caller must hand one state to at most one running
+	// solve at a time.
 	LPRState *bounds.LPRState
 
 	// Share, when non-nil, connects this solve to a cooperative-portfolio
@@ -393,17 +380,12 @@ type solver struct {
 	consecFails int
 
 	// reducer is the persistent incremental reduced-problem builder (nil
-	// with Options.NoIncrementalReduce or LBNone: Extract per node instead).
+	// only with LBNone, which never reduces).
 	reducer *bounds.Reducer
-	// lprState carries the LP warm-start basis between LPR calls (nil
-	// unless LowerBound is LBLPR and warm starts are enabled). The lpr*0
-	// baselines subtract counter history carried in by an injected
-	// persistent state (Options.LPRState), so Stats reports this solve's
-	// own warm/cold/fallback counts.
+	// lprState carries the LP warm-start basis between LPR calls and counts
+	// this solve's warm/cold/fallback LP solves (nil unless LowerBound is
+	// LBLPR). It outlives a demotion of LPR, so its counts stay reported.
 	lprState *bounds.LPRState
-	lprWarm0 int64
-	lprCold0 int64
-	lprFB0   int64
 	// cutPool is the managed cut store threaded into LPR (nil unless
 	// LowerBound is LBLPR and cuts are enabled). One pool per solve: pooled
 	// cuts are derived from THIS problem's rows and must not leak across
@@ -508,27 +490,17 @@ func Solve(p *pb.Problem, opt Options) Result {
 		s.est = bounds.LGR{Iterations: opt.LGRIterations, WarmStart: !opt.LGRColdStart}
 		s.fallback = bounds.MIS{}
 	case LBLPR:
-		if !opt.NoWarmLP {
-			if opt.LPRState != nil {
-				s.lprState = opt.LPRState
-			} else {
-				s.lprState = &bounds.LPRState{}
-			}
+		s.lprState = opt.LPRState
+		if s.lprState == nil {
+			s.lprState = &bounds.LPRState{}
 		}
-		if s.lprState != nil {
-			// The LP workspace lives for this solve only, whichever way it
-			// ends; an injected state (the serving layer's session cache)
-			// keeps just its basis.
-			defer s.lprState.Release()
-			s.lprWarm0 = s.lprState.WarmSolves()
-			s.lprCold0 = s.lprState.ColdSolves()
-			s.lprFB0 = s.lprState.WarmFallbacks()
-		}
+		s.lprState.ResetCounters()
+		// The LP workspace lives for this solve only, whichever way it
+		// ends; an injected state (the serving layer's session cache) keeps
+		// just its basis.
+		defer s.lprState.Release()
 		if !opt.NoCuts {
-			s.cutPool = cuts.NewPool(cuts.Config{
-				MaxRounds: opt.CutRounds,
-				MaxPool:   opt.CutMaxPool,
-			})
+			s.cutPool = cuts.NewPool(cuts.Config{})
 			// Every cut accepted into the pool is observable (trace) and
 			// replayable (audit): the pool feeds every subsequent node LP, so
 			// an invalid cut here corrupts the whole run — exactly what the
@@ -554,7 +526,7 @@ func Solve(p *pb.Problem, opt Options) Result {
 		}
 		s.eng.SeedRandom(seed, opt.RandomBranchFreq)
 	}
-	if !opt.NoIncrementalReduce && opt.LowerBound != LBNone {
+	if opt.LowerBound != LBNone {
 		// Persistent incremental reduction: track satisfaction transitions
 		// from the trail instead of re-scanning the constraint store at every
 		// node. Attached after engine.New so the initial resync sees the full
@@ -600,9 +572,9 @@ func (s *solver) snapshotStats() Stats {
 	st := s.stats
 	bs := s.bstats.Clone()
 	if s.lprState != nil {
-		bs.WarmSolves = s.lprState.WarmSolves() - s.lprWarm0
-		bs.ColdSolves = s.lprState.ColdSolves() - s.lprCold0
-		bs.WarmFallbacks = s.lprState.WarmFallbacks() - s.lprFB0
+		bs.WarmSolves = s.lprState.WarmSolves()
+		bs.ColdSolves = s.lprState.ColdSolves()
+		bs.WarmFallbacks = s.lprState.WarmFallbacks()
 	}
 	if s.cutPool != nil {
 		bs.Cuts = s.cutPool.Counters()
@@ -794,17 +766,12 @@ func (s *solver) boundBudget() bounds.Budget {
 	return bud
 }
 
-// reduce builds the reduced problem for the current node: incrementally via
-// the persistent Reducer when attached, from scratch otherwise. Construction
-// cost is folded into the bound-pipeline stats either way.
+// reduce builds the reduced problem for the current node through the
+// persistent Reducer, folding the construction cost into the bound-pipeline
+// stats.
 func (s *solver) reduce() *bounds.Reduced {
 	start := time.Now()
-	var red *bounds.Reduced
-	if s.reducer != nil {
-		red = s.reducer.Reduce()
-	} else {
-		red = bounds.Extract(s.eng)
-	}
+	red := s.reducer.Reduce()
 	s.bstats.Reduces++
 	s.bstats.ReduceTime += time.Since(start)
 	return red
@@ -885,25 +852,16 @@ func (s *solver) estimateInner(red *bounds.Reduced, target int64) bounds.Result 
 	}
 	if threshold > 0 && s.consecFails >= threshold && s.fallback != nil {
 		// Demote: the primary procedure is persistently failing; stop
-		// paying for it (and for its panics) at every node. The warm-start
-		// state dies with the demoted estimator — but its warm/cold solve
-		// counters must be folded into the stats block first, or a demoted
-		// LPR run reports lp warm/cold = 0/0 even though hundreds of LP
-		// solves happened before the circuit breaker tripped (the
-		// accounting bug this PR's metrics snapshots surfaced).
+		// paying for it (and for its panics) at every node. The demoted LPR
+		// no longer needs its basis or workspace; the state itself stays, so
+		// the LP solves run before the breaker tripped stay counted.
 		s.trace.Emit(obs.EvDemotion, s.est.Name(), int64(s.stats.BoundFailures), 0, s.fallback.Name())
 		s.est = s.fallback
 		s.fallback = nil
 		s.consecFails = 0
 		s.stats.BoundDemotions++
-		if s.lprState != nil {
-			s.lprState.Invalidate()
-			s.lprState.Release()
-			s.bstats.WarmSolves = s.lprState.WarmSolves() - s.lprWarm0
-			s.bstats.ColdSolves = s.lprState.ColdSolves() - s.lprCold0
-			s.bstats.WarmFallbacks = s.lprState.WarmFallbacks() - s.lprFB0
-			s.lprState = nil
-		}
+		s.lprState.Invalidate()
+		s.lprState.Release()
 	}
 	return res
 }

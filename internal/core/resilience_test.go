@@ -340,3 +340,48 @@ func TestWarmStartCorruptionStaysSound(t *testing.T) {
 		t.Fatal("no cold solves despite injected crash corruption")
 	}
 }
+
+// TestDemotedLPRKeepsLPCounts corrupts every recomputed LPR value, which
+// happens after the LP has been solved and counted, so the circuit breaker
+// demotes LPR to MIS. The LP solves run before the demotion must stay in the
+// solve's stats: every failed LPR call solved one LP. (Unbounded LPs are
+// counted but do not fail, hence ≥.)
+func TestDemotedLPRKeepsLPCounts(t *testing.T) {
+	defer fault.Reset()
+	rng := rand.New(rand.NewSource(4242))
+	demoted := false
+	for iter := 0; iter < 30 && !demoted; iter++ {
+		p := coverPBO(rng, 12+rng.Intn(5), 14+rng.Intn(10))
+		want := pb.BruteForce(p)
+
+		fault.Reset()
+		fault.Arm("lpr.value", fault.Spec{Kind: fault.KindCorrupt, Every: 1})
+		res := Solve(p, Options{LowerBound: LBLPR, FallbackAfter: 4, NoCuts: true})
+		fault.Reset()
+
+		if want.Feasible {
+			if res.Status != StatusOptimal || res.Best != want.Optimum {
+				t.Fatalf("iter %d: status=%v best=%d want optimal %d",
+					iter, res.Status, res.Best, want.Optimum)
+			}
+		} else if res.Status != StatusUnsat {
+			t.Fatalf("iter %d: status=%v want unsat", iter, res.Status)
+		}
+		if res.Stats.BoundDemotions == 0 {
+			continue
+		}
+		demoted = true
+		bs := res.Stats.Bounds
+		if res.Stats.BoundDemotions != 1 {
+			t.Fatalf("iter %d: %d demotions, want 1", iter, res.Stats.BoundDemotions)
+		}
+		failed := bs.Per["lpr"].Failed
+		if lps := bs.WarmSolves + bs.ColdSolves; lps < failed || failed < 4 {
+			t.Fatalf("iter %d: %d LP solves counted (%d warm, %d cold) for %d failed LPR calls, want ≥ failed ≥ 4",
+				iter, lps, bs.WarmSolves, bs.ColdSolves, failed)
+		}
+	}
+	if !demoted {
+		t.Fatal("no run performed enough bound calls to trip the circuit breaker")
+	}
+}

@@ -1,10 +1,11 @@
 // Package fuzz is the differential-fuzzing harness of the reproduction: it
 // runs small instances through every solver configuration — the four
-// lower-bound methods, the linear-search strategy, the incremental-reduction
-// and warm-LP ablations, and the cooperative portfolio with sharing on and
-// off — each under the internal/audit invariant auditor, compares every
-// conclusive answer against the exhaustive pb.BruteForce oracle, and shrinks
-// any mismatch to a minimal OPB reproducer.
+// lower-bound methods, the linear-search strategy, the technique ablations,
+// and the cooperative portfolio with sharing on and off — each under the
+// internal/audit invariant auditor, compares every conclusive answer against
+// the exhaustive pb.BruteForce oracle, checks the bound pipeline against its
+// stateless oracles node by node (BoundPipeline), and shrinks any mismatch
+// to a minimal OPB reproducer.
 //
 // Three layers consume it:
 //
@@ -55,8 +56,10 @@ type Mismatch struct {
 func (m Mismatch) String() string { return m.Config + ": " + m.Detail }
 
 // configs is the single-solver half of the differential matrix: all four
-// lower-bound methods, both strategies, and the ablation toggles whose
-// "never changes results" claims are exactly what a fuzzer should test.
+// lower-bound methods, both strategies, and the technique ablations whose
+// "never changes results" claims are exactly what a fuzzer should test. The
+// accelerators with no switch (the incremental Reducer, the warm-started
+// LP) are checked against their oracles by BoundPipeline instead.
 func configs(budget int64) []struct {
 	name string
 	opt  core.Options
@@ -71,8 +74,6 @@ func configs(budget int64) []struct {
 		{"lpr", core.Options{LowerBound: core.LBLPR, MaxConflicts: budget}},
 		{"lpr-linear", core.Options{LowerBound: core.LBLPR, Strategy: core.StrategyLinearSearch, MaxConflicts: budget}},
 		{"plain-linear-pb", core.Options{LowerBound: core.LBNone, Strategy: core.StrategyLinearSearch, PBLearning: true, MaxConflicts: budget}},
-		{"lpr-noincremental", core.Options{LowerBound: core.LBLPR, NoIncrementalReduce: true, MaxConflicts: budget}},
-		{"lpr-coldlp", core.Options{LowerBound: core.LBLPR, NoWarmLP: true, MaxConflicts: budget}},
 		{"lpr-nocuts", core.Options{LowerBound: core.LBLPR, NoCuts: true, MaxConflicts: budget}},
 		{"lgr-chrono", core.Options{LowerBound: core.LBLGR, ChronologicalBounds: true, MaxConflicts: budget}},
 		{"mis-cuts", core.Options{LowerBound: core.LBMIS, CardinalityInference: true, PBLearning: true, MaxConflicts: budget}},
@@ -152,6 +153,10 @@ func Check(p *pb.Problem, budget int64) []Mismatch {
 		opt.Audit = aud
 		judge(c.name, core.SafeSolve(p, opt), aud)
 	}
+
+	// The bound pipeline against its stateless oracles, node by node.
+	pms, _, _ := BoundPipeline(p, 1)
+	out = append(out, pms...)
 
 	// Presolve half of the matrix: FixVariables rewrites the instance over
 	// the unfixed variables (different numbering, possibly fewer vars), each

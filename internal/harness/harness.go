@@ -283,15 +283,6 @@ type Limits struct {
 	Time         time.Duration
 	MaxConflicts int64
 	MilpNodes    int64
-	// NoIncrementalReduce / NoWarmLP run the bsolo columns with the
-	// incremental bound pipeline disabled (ablation; see core.Options).
-	NoIncrementalReduce bool
-	NoWarmLP            bool
-	// NoCuts disables LPR cutting-plane separation; CutRounds / CutMaxPool
-	// override the separation fixpoint cap and pool capacity (0 = defaults).
-	NoCuts     bool
-	CutRounds  int
-	CutMaxPool int
 	// Presolve runs preprocess.FixVariables on each instance before the
 	// solver (all columns): variables fixed at the root are eliminated and
 	// the solver sees the reduced, renumbered problem. Incumbents stay
@@ -314,7 +305,7 @@ type RunResult struct {
 	// solved. One crashing column must not abort a whole table run.
 	Err string
 	// Bounds is the bound-pipeline profile of the run (bsolo columns only:
-	// reduction mode/cost, per-estimator call/time aggregates, LP warm-start
+	// reduction cost, per-estimator call/time aggregates, LP warm-start
 	// counters). Zero for the baselines and the MILP column.
 	Bounds bounds.Stats
 	// Conflicts / Decisions measure search effort: BCP + bound conflicts and
@@ -372,9 +363,7 @@ func (r *RunResult) BoundTime() time.Duration { return r.Bounds.TotalTime() }
 func Run(inst Instance, id SolverID, lim Limits) RunResult {
 	start := time.Now()
 	rr := RunResult{Instance: inst.Name, Family: inst.Family, Solver: id}
-	bl := baseline.Limits{TimeLimit: lim.Time, MaxConflicts: lim.MaxConflicts,
-		NoIncrementalReduce: lim.NoIncrementalReduce, NoWarmLP: lim.NoWarmLP,
-		NoCuts: lim.NoCuts, CutRounds: lim.CutRounds, CutMaxPool: lim.CutMaxPool}
+	bl := baseline.Limits{TimeLimit: lim.Time, MaxConflicts: lim.MaxConflicts}
 	// Time-to-first-incumbent capture: any member (B&B or LS) reporting its
 	// first incumbent stamps the wall-clock once. Concurrent members race on
 	// the stamp, hence the CAS; presolve time counts (it is part of the cell).
@@ -496,8 +485,6 @@ func memberConfigs(lim Limits, noteInc func(int64)) []portfolio.Config {
 	for i := range configs {
 		o := &configs[i].Options
 		o.TimeLimit, o.MaxConflicts = lim.Time, lim.MaxConflicts
-		o.NoIncrementalReduce, o.NoWarmLP = lim.NoIncrementalReduce, lim.NoWarmLP
-		o.NoCuts, o.CutRounds, o.CutMaxPool = lim.NoCuts, lim.CutRounds, lim.CutMaxPool
 		o.OnIncumbent = noteInc
 	}
 	return configs
