@@ -6,17 +6,22 @@ GO ?= go
 
 all: build test
 
+# gofmt check + go vet. gofmt -l lists every file whose formatting differs;
+# any listed file fails the target.
+GOFMT ?= gofmt
 vet:
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt: needs formatting:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
-# What CI runs: vet + build + full test suite, then the race detector on
+# What CI runs: gofmt + vet + build + full test suite, then the race detector on
 # the concurrency-sensitive packages (engine interrupt hook, solver
 # cancellation, portfolio racing + clause sharing, fault injection, the
 # incremental Reducer's watcher protocol, the warm-start LP state, the
 # live metrics registry, the bsolvd serving envelope), the daemon's
 # chaos/load smoke, the bench-regression gate against the committed
-# baseline, then a single-iteration smoke pass over the bound-pipeline
-# and portfolio-sharing benchmarks and a small bench snapshot.
+# baseline, then a single-iteration smoke pass over the bound-pipeline,
+# engine, portfolio-sharing and cut-separation benchmarks and a small bench
+# snapshot.
 ci: vet build test
 	$(GO) test -race ./internal/engine ./internal/core ./internal/portfolio ./internal/share ./internal/ls ./internal/fault ./internal/bounds ./internal/lp ./internal/cuts ./internal/fuzz ./internal/obs ./internal/preprocess ./internal/serve ./internal/wbo ./internal/wcnf
 	$(MAKE) escape-check
@@ -25,6 +30,7 @@ ci: vet build test
 	$(MAKE) bench-bounds BENCHTIME=1x
 	$(MAKE) bench-engine BENCHTIME=1x
 	$(MAKE) bench-portfolio BENCHTIME=1x
+	$(MAKE) bench-cuts BENCHTIME=1x
 	$(MAKE) bench-snapshot BENCH_FAMILY=synth BENCH_N=2 BENCH_TIME=3s
 	$(MAKE) bench-ls BENCH_LS_N=2 BENCH_LS_TIME=2s BENCH_LS_NODES=20 BENCH_LS_OUT=/tmp/bench_ls_smoke.json
 	$(MAKE) bench-wbo BENCH_WBO_N=2 BENCH_WBO_TIME=2s BENCH_WBO_VARS=12 BENCH_WBO_OUT=/tmp/bench_wbo_smoke.json

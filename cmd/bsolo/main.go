@@ -187,11 +187,10 @@ func main() {
 		NoCuts:               !*cutsOn,
 	}
 
-	// SIGINT/SIGTERM close the Cancel channel so the search unwinds
+	// SIGINT/SIGTERM close the race's Stop channel so the search unwinds
 	// gracefully and prints the best incumbent with an "s UNKNOWN" status
 	// line; a second signal exits immediately.
 	cancel := make(chan struct{})
-	opt.Cancel = cancel
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
@@ -265,24 +264,37 @@ func main() {
 		fatal(fmt.Errorf("-ls requires -portfolio (a lone UB-only worker cannot conclude; race it against the exact members)"))
 	}
 
-	start := time.Now()
-	var res core.Result
-	var pres *portfolio.Result
-	var wres *wbo.Result
-	if *portfolioRun {
-		configs := portfolio.DefaultConfigs()
-		for i := range configs {
-			configs[i].Options.TimeLimit = opt.TimeLimit
-			configs[i].Options.MaxConflicts = opt.MaxConflicts
-			configs[i].Options.BoundBudget = opt.BoundBudget
-			configs[i].Options.FallbackAfter = opt.FallbackAfter
-			configs[i].Options.NoCuts = opt.NoCuts
-		}
-		// LS members go first: irrelevant when members race concurrently,
-		// but under serialized execution (capped -members, low GOMAXPROCS)
-		// the UB-only workers must run before the exact members so their
-		// incumbents are already on the board warming B&B pruning.
-		var lsConfigs []portfolio.Config
+	// One run path: every mode is a portfolio race. The plain solve and the
+	// lone -core-guided solve race one member without a board, so their
+	// search is the solver's own; the race's member contract runs it, its
+	// verifier checks the answer, and its panic barrier turns a crash into a
+	// reported member error.
+	var cgIters, cgCores int
+	cgLB := int64(0) // proved penalty lower bound, Offset included
+	var configs []portfolio.Config
+	if *coreGuided {
+		cgLB = wi.Offset
+		configs = append(configs, portfolio.Config{Name: "core-guided", CoreGuided: &portfolio.CoreGuided{
+			Instance: wi,
+			Options: wbo.Options{TimeLimit: opt.TimeLimit, MaxConflicts: opt.MaxConflicts,
+				OnIterate: func(iter, _ int, lb int64) { cgIters, cgLB = iter, lb; cgCores++ }},
+		}})
+	}
+	popts := portfolio.Options{
+		NoSharing:     true,
+		MaxConcurrent: *maxMembers,
+		Stop:          cancel,
+		Audit:         auditor,
+		Trace:         tracer,
+		Registry:      registry,
+	}
+	switch {
+	case *portfolioRun:
+		// LS members go right after the core-guided one: irrelevant when
+		// members race concurrently, but under serialized execution (capped
+		// -members, low GOMAXPROCS) the UB-only workers must run before the
+		// exact members so their incumbents are already on the board warming
+		// B&B pruning.
 		for i := 0; i < *lsMembers; i++ {
 			name := "ls"
 			if *lsMembers > 1 {
@@ -290,65 +302,45 @@ func main() {
 			}
 			cfg := portfolio.LSConfig(name, int64(101+i), *lsFlips)
 			cfg.LS.TimeLimit = opt.TimeLimit
-			lsConfigs = append(lsConfigs, cfg)
+			configs = append(configs, cfg)
 		}
-		configs = append(lsConfigs, configs...)
-		if *coreGuided {
-			cg := portfolio.Config{Name: "core-guided", CoreGuided: &portfolio.CoreGuided{
-				Instance: wi,
-				Options:  wbo.Options{TimeLimit: opt.TimeLimit, MaxConflicts: opt.MaxConflicts},
-			}}
-			configs = append([]portfolio.Config{cg}, configs...)
+		for _, cfg := range portfolio.DefaultConfigs() {
+			o := &cfg.Options
+			o.TimeLimit, o.MaxConflicts = opt.TimeLimit, opt.MaxConflicts
+			o.BoundBudget, o.FallbackAfter, o.NoCuts = opt.BoundBudget, opt.FallbackAfter, opt.NoCuts
+			configs = append(configs, cfg)
 		}
-		p := portfolio.SolveOpts(prob, configs, portfolio.Options{
-			NoSharing:     !*shareOn,
-			Share:         share.Config{Capacity: *shareCap, MaxLen: *shareLen, MaxLBD: *shareLBD},
-			MaxConcurrent: *maxMembers,
-			Stop:          cancel,
-			Audit:         auditor,
-			Trace:         tracer,
-			Registry:      registry,
-		})
-		pres = &p
-		res = p.Result
-		fmt.Printf("c portfolio winner: %s (members=%d concurrency=%d sharing=%t)\n",
-			p.Winner, len(p.Members), p.Concurrency, p.Sharing)
-		for name, err := range p.Errors {
-			fmt.Printf("c portfolio member %s crashed: %v\n", name, firstLine(err))
+		if *shareOn {
+			popts.NoSharing = false
+			popts.Board = share.NewBoard(share.Config{Capacity: *shareCap, MaxLen: *shareLen, MaxLBD: *shareLBD})
 		}
-	} else if *coreGuided {
-		r := wbo.Solve(wi, wbo.Options{
-			TimeLimit:    opt.TimeLimit,
-			MaxConflicts: opt.MaxConflicts,
-			Cancel:       cancel,
-		})
-		wres = &r
-		if auditor != nil {
-			// The auditor is scoped to the compiled problem: replay the
-			// witness there (selectors set on exactly the violated softs) and
-			// state the verdict in compiled-objective terms (minus Offset).
-			if r.HasSolution {
-				auditor.Incumbent(r.Best-wi.Offset, wi.ExtendedWitness(r.Values))
-			}
-			switch {
-			case r.Status == core.StatusOptimal:
-				auditor.Termination(audit.Claim{Optimal: true, Best: r.Best - wi.Offset})
-			case r.HardUnsat:
-				auditor.Termination(audit.Claim{Unsat: true})
-			case r.HasSolution:
-				auditor.Termination(audit.Claim{UpperBound: true, Best: r.Best - wi.Offset})
-			}
-		}
-	} else {
-		opt.Trace = tracer.Named(strings.ToLower(*lbFlag))
-		if registry != nil {
-			live := &obs.Live{}
-			registry.RegisterSolver(strings.ToLower(*lbFlag), live)
-			opt.Live = live
-		}
-		res = core.SafeSolve(prob, opt)
+	case !*coreGuided:
+		configs = []portfolio.Config{{Name: strings.ToLower(*lbFlag), Options: opt}}
 	}
+
+	start := time.Now()
+	pres := portfolio.SolveOpts(prob, configs, popts)
+	res := pres.Result
 	elapsed := time.Since(start)
+	if *portfolioRun {
+		fmt.Printf("c portfolio winner: %s (members=%d concurrency=%d sharing=%t)\n",
+			pres.Winner, len(pres.Members), pres.Concurrency, pres.Sharing)
+	}
+	for _, m := range pres.Members {
+		if m.Err != nil {
+			fmt.Printf("c member %s crashed: %v\n", m.Name, firstLine(m.Err))
+		}
+	}
+	// -stats reads the solo member's own stats: a LIMIT race with no
+	// incumbent carries none on its Result.
+	st := res.Stats
+	if len(pres.Members) == 1 {
+		st = pres.Members[0].Stats
+	}
+	if *coreGuided {
+		fmt.Printf("c core-guided: iterations=%d cores=%d conflicts=%d\n",
+			cgIters, cgCores, pres.Members[0].Stats.Conflicts)
+	}
 	fmt.Printf("c solved in %v\n", elapsed)
 
 	auditOK := true
@@ -364,45 +356,27 @@ func main() {
 	// hard-UNSAT vs penalty-optimum distinction explicit: "s UNSATISFIABLE"
 	// means the hard constraints alone are contradictory (exit 20), while an
 	// optimum that merely pays soft penalties prints the penalty on the o
-	// line under "s OPTIMUM FOUND" (exit 30). Witnesses are re-verified
-	// against both the original soft penalties and the compiled hard rows
-	// before printing; any disagreement is a soundness bug (exit 2).
+	// line under "s OPTIMUM FOUND" (exit 30). Every member's answer is in the
+	// compiled problem's space; the compiled soft rows are always satisfiable
+	// through their selectors, so compiled-UNSAT can only mean the hard
+	// skeleton is. Witnesses are re-verified against both the original soft
+	// penalties and the compiled hard rows before printing; any disagreement
+	// is a soundness bug (exit 2).
 	if wi != nil {
-		var (
-			status    core.Status
-			hardUnsat bool
-			hasSol    bool
-			best      int64 // instance-space penalty, Offset included
-			values    []bool
-		)
-		if wres != nil {
-			status, hardUnsat, hasSol, best = wres.Status, wres.HardUnsat, wres.HasSolution, wres.Best
-			values = wres.Values
-			fmt.Printf("c core-guided: iterations=%d cores=%d cardRewrites=%d conflicts=%d\n",
-				wres.Iterations, wres.Cores, wres.CardRewrites, wres.Conflicts)
-			if status == core.StatusLimit {
-				fmt.Printf("c proved penalty lower bound %d\n", wres.LowerBound)
-			}
-			if status == core.StatusError {
-				fmt.Printf("c solver error: %v\n", firstLine(wres.Err))
-			}
-		} else {
-			status, hasSol = res.Status, res.HasSolution
-			// The compiled soft rows are always satisfiable through their
-			// selectors, so compiled-UNSAT can only mean the hard skeleton is.
-			hardUnsat = res.Status == core.StatusUnsat
-			if res.Status == core.StatusSatisfiable {
-				// No soft constraints survived compilation (objective-free
-				// problem): a feasible model is the penalty-free optimum.
-				status = core.StatusOptimal
-			}
-			if res.Status == core.StatusError {
-				fmt.Printf("c solver error: %v\n", firstLine(res.Err))
-			}
-			if hasSol {
-				values = res.Values[:wi.NumVars]
-				best = res.Best + wi.Offset
-			}
+		status, hasSol := res.Status, res.HasSolution
+		if status == core.StatusSatisfiable {
+			// No soft constraints survived compilation (objective-free
+			// problem): a feasible model is the penalty-free optimum.
+			status = core.StatusOptimal
+		}
+		var best int64 // instance-space penalty, Offset included
+		var values []bool
+		if hasSol {
+			values = res.Values[:wi.NumVars]
+			best = res.Best + wi.Offset
+		}
+		if *coreGuided && status == core.StatusLimit {
+			fmt.Printf("c proved penalty lower bound %d\n", cgLB)
 		}
 		sound := true
 		if hasSol {
@@ -423,7 +397,7 @@ func main() {
 			fmt.Printf("o %d\n", best)
 			fmt.Println("s OPTIMUM FOUND")
 			code = 30
-		case status == core.StatusUnsat && hardUnsat:
+		case status == core.StatusUnsat:
 			fmt.Println("c the hard constraints alone are contradictory (not a penalty optimum)")
 			fmt.Println("s UNSATISFIABLE")
 			code = 20
@@ -438,12 +412,10 @@ func main() {
 			fmt.Println(weightedValueLine(wi, values))
 		}
 		if *showStats {
-			if pres != nil {
-				printPortfolioStats(pres)
-			} else if wres == nil {
-				st := res.Stats
-				fmt.Printf("c decisions=%d conflicts=%d boundConflicts=%d boundCalls=%d boundPrunes=%d\n",
-					st.Decisions, st.Conflicts, st.BoundConflicts, st.BoundCalls, st.BoundPrunes)
+			fmt.Printf("c decisions=%d conflicts=%d boundConflicts=%d boundCalls=%d boundPrunes=%d\n",
+				st.Decisions, st.Conflicts, st.BoundConflicts, st.BoundCalls, st.BoundPrunes)
+			if *portfolioRun {
+				printPortfolioStats(&pres)
 			}
 		}
 		if err := writeObsOutputs(tracer, registry, *tracePath, *tracePretty, *metricsPath); err != nil {
@@ -470,13 +442,7 @@ func main() {
 		fmt.Println("s SATISFIABLE")
 	case core.StatusUnsat:
 		fmt.Println("s UNSATISFIABLE")
-	case core.StatusError:
-		fmt.Printf("c solver error: %v\n", firstLine(res.Err))
-		if res.HasSolution {
-			fmt.Printf("o %d\n", res.Best)
-		}
-		fmt.Println("s UNKNOWN")
-	case core.StatusLimit:
+	case core.StatusLimit: // the race never reports StatusError; crashes are listed above
 		if res.HasSolution {
 			fmt.Printf("c best upper bound %d\n", res.Best)
 			fmt.Printf("o %d\n", res.Best)
@@ -507,7 +473,6 @@ func main() {
 		}
 	}
 	if *showStats {
-		st := res.Stats
 		fmt.Printf("c decisions=%d conflicts=%d boundConflicts=%d boundCalls=%d boundPrunes=%d\n",
 			st.Decisions, st.Conflicts, st.BoundConflicts, st.BoundCalls, st.BoundPrunes)
 		if secs := elapsed.Seconds(); secs > 0 {
@@ -533,10 +498,8 @@ func main() {
 		if st.RandomDecisions > 0 {
 			fmt.Printf("c randomDecisions=%d\n", st.RandomDecisions)
 		}
-		if pres != nil {
-			printPortfolioStats(pres)
-		} else if st.Sharing.Active() {
-			printSharing("", &st.Sharing, st.ImportedClauses)
+		if *portfolioRun {
+			printPortfolioStats(&pres)
 		}
 	}
 	if err := writeObsOutputs(tracer, registry, *tracePath, *tracePretty, *metricsPath); err != nil {

@@ -79,16 +79,19 @@ func TestFixturesGroundTruth(t *testing.T) {
 }
 
 func TestFixturesAllSolvers(t *testing.T) {
-	lim := baseline.Limits{MaxConflicts: 500000}
+	solve := func(p *pb.Problem, opt core.Options) core.Result {
+		opt.MaxConflicts = 500000
+		return core.Solve(p, opt)
+	}
 	for name, want := range fixtureWant {
 		p := loadFixture(t, name)
 		runs := map[string]core.Result{
-			"pbs":    baseline.PBS(p, lim),
-			"galena": baseline.Galena(p, lim),
-			"plain":  baseline.Bsolo(p, core.LBNone, lim),
-			"mis":    baseline.Bsolo(p, core.LBMIS, lim),
-			"lgr":    baseline.Bsolo(p, core.LBLGR, lim),
-			"lpr":    baseline.Bsolo(p, core.LBLPR, lim),
+			"pbs":    solve(p, baseline.PBS()),
+			"galena": solve(baseline.GalenaPreprocess(p), baseline.Galena()),
+			"plain":  solve(p, baseline.Bsolo(core.LBNone)),
+			"mis":    solve(p, baseline.Bsolo(core.LBMIS)),
+			"lgr":    solve(p, baseline.Bsolo(core.LBLGR)),
+			"lpr":    solve(p, baseline.Bsolo(core.LBLPR)),
 		}
 		for solver, res := range runs {
 			switch {

@@ -15,70 +15,57 @@
 package baseline
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/pb"
 	"repro/internal/preprocess"
 )
 
-// Limits bounds a baseline run.
-type Limits struct {
-	TimeLimit    time.Duration
-	MaxConflicts int64
+// PBS returns the options of the PBS-style linear-search solver. Callers add
+// their limits and run them like any other member (a harness column is a
+// one-member portfolio race).
+func PBS() core.Options {
+	return core.Options{
+		Strategy:    core.StrategyLinearSearch,
+		LowerBound:  core.LBNone,
+		RestartBase: -1, // no Luby restarts; restart only on new solutions
+	}
 }
 
-// PBS runs the PBS-style linear-search solver.
-func PBS(p *pb.Problem, lim Limits) core.Result {
-	return core.Solve(p, core.Options{
-		Strategy:     core.StrategyLinearSearch,
-		LowerBound:   core.LBNone,
-		MaxConflicts: lim.MaxConflicts,
-		TimeLimit:    lim.TimeLimit,
-		RestartBase:  -1, // no Luby restarts; restart only on new solutions
-	})
+// Galena returns the options of the Galena-style linear-search solver. Run
+// them on GalenaPreprocess's output: the preprocessing is part of the solver,
+// and its time counts against the run's limit.
+func Galena() core.Options {
+	return core.Options{
+		Strategy:   core.StrategyLinearSearch,
+		LowerBound: core.LBNone,
+		PBLearning: true, // Galena's distinguishing cutting-plane learning
+	}
 }
 
-// Galena runs the Galena-style linear-search solver with preprocessing.
-func Galena(p *pb.Problem, lim Limits) core.Result {
-	start := time.Now()
-	pre, info, err := preprocess.Apply(p, preprocess.Options{
+// GalenaPreprocess applies Galena's probing, implication strengthening and
+// subsumption and returns the problem to solve (same variable numbering).
+// When probing proves the instance infeasible the result carries an explicit
+// contradiction, so the search reports UNSAT at once; a preprocessing
+// failure falls back to the raw instance.
+func GalenaPreprocess(p *pb.Problem) *pb.Problem {
+	pre, _, err := preprocess.Apply(p, preprocess.Options{
 		Probing:       true,
 		Strengthening: true,
 		Subsumption:   true,
 		MaxProbeVars:  2000,
 	})
 	if err != nil {
-		// Preprocessing failure falls back to the raw instance.
-		pre = p
-	} else if info.ProvedUnsat {
-		return core.Result{Status: core.StatusUnsat}
+		return p
 	}
-	// Preprocessing counts against the time limit: the search gets what
-	// probing left of it.
-	limit := lim.TimeLimit
-	if limit > 0 {
-		if limit -= time.Since(start); limit <= 0 {
-			return core.Result{Status: core.StatusLimit}
-		}
-	}
-	return core.Solve(pre, core.Options{
-		Strategy:     core.StrategyLinearSearch,
-		LowerBound:   core.LBNone,
-		PBLearning:   true, // Galena's distinguishing cutting-plane learning
-		MaxConflicts: lim.MaxConflicts,
-		TimeLimit:    limit,
-	})
+	return pre
 }
 
-// Bsolo runs the paper's solver with the given lower-bound method and the
-// §4–§5 techniques enabled (the Table 1 bsolo columns).
-func Bsolo(p *pb.Problem, method core.Method, lim Limits) core.Result {
-	return core.Solve(p, core.Options{
+// Bsolo returns the options of the paper's solver with the given lower-bound
+// method and the §4–§5 techniques enabled (the Table 1 bsolo columns).
+func Bsolo(method core.Method) core.Options {
+	return core.Options{
 		Strategy:             core.StrategyBranchBound,
 		LowerBound:           method,
-		MaxConflicts:         lim.MaxConflicts,
-		TimeLimit:            lim.TimeLimit,
 		CardinalityInference: true,
-	})
+	}
 }

@@ -27,18 +27,24 @@ func randomPBO(rng *rand.Rand, n, m int) *pb.Problem {
 	return p
 }
 
+// solve runs a constructor's options under a conflict budget.
+func solve(p *pb.Problem, opt core.Options, maxConflicts int64) core.Result {
+	opt.MaxConflicts = maxConflicts
+	return core.Solve(p, opt)
+}
+
 // All solvers must agree with brute force (and hence each other).
 func TestBaselinesAgreeWithBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	lim := Limits{MaxConflicts: 200000}
+	const lim = 200000
 	for iter := 0; iter < 150; iter++ {
 		p := randomPBO(rng, 2+rng.Intn(6), 1+rng.Intn(7))
 		want := pb.BruteForce(p)
 		solvers := map[string]func() core.Result{
-			"pbs":       func() core.Result { return PBS(p, lim) },
-			"galena":    func() core.Result { return Galena(p, lim) },
-			"bsolo-lpr": func() core.Result { return Bsolo(p, core.LBLPR, lim) },
-			"bsolo-mis": func() core.Result { return Bsolo(p, core.LBMIS, lim) },
+			"pbs":       func() core.Result { return solve(p, PBS(), lim) },
+			"galena":    func() core.Result { return solve(GalenaPreprocess(p), Galena(), lim) },
+			"bsolo-lpr": func() core.Result { return solve(p, Bsolo(core.LBLPR), lim) },
+			"bsolo-mis": func() core.Result { return solve(p, Bsolo(core.LBMIS), lim) },
 		}
 		for name, run := range solvers {
 			res := run()
@@ -72,7 +78,7 @@ func TestGalenaPureSatisfaction(t *testing.T) {
 			_ = p.AddConstraint(terms, pb.GE, 1)
 		}
 		want := pb.BruteForce(p)
-		res := Galena(p, Limits{MaxConflicts: 100000})
+		res := solve(GalenaPreprocess(p), Galena(), 100000)
 		if want.Feasible && res.Status != core.StatusSatisfiable {
 			t.Fatalf("iter %d: status=%v want satisfiable", iter, res.Status)
 		}
@@ -88,7 +94,7 @@ func TestPBSReportsIncumbentOnLimit(t *testing.T) {
 	// the first incumbent as an "ub" entry (Table 1 style).
 	rng := rand.New(rand.NewSource(3))
 	p := randomPBO(rng, 10, 12)
-	res := PBS(p, Limits{MaxConflicts: 1})
+	res := solve(p, PBS(), 1)
 	if res.Status == core.StatusOptimal {
 		return // solved within one conflict; fine
 	}

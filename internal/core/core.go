@@ -455,7 +455,8 @@ type cardSet struct {
 // problem is not modified.
 //
 // Solve does not recover panics; callers that must survive a crashing
-// configuration (the portfolio, the harness, services) should use SafeSolve.
+// configuration run it as a portfolio member (every front end does) or
+// through SafeSolve.
 func Solve(p *pb.Problem, opt Options) Result {
 	// fault point "core.solve", keyed by the lower-bound method: lets tests
 	// crash one portfolio member while the others race on.
@@ -658,9 +659,9 @@ func (s *solver) auditTermination(res Result) {
 // SafeSolve is Solve behind a panic barrier: a crash anywhere in the search
 // (a genuine bug, or an injected fault that escaped the bound-level
 // recovery) is converted into a StatusError result carrying the panic value
-// and stack instead of tearing down the process. The portfolio driver and
-// the benchmark harness run every configuration through this wrapper so one
-// crashing config degrades the race rather than aborting it.
+// and stack instead of tearing down the process. The differential fuzzer
+// runs its solo configurations through it: it must see each solver's raw
+// claim, which the portfolio's claim verifier would demote.
 func SafeSolve(p *pb.Problem, opt Options) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {

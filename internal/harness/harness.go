@@ -17,7 +17,6 @@ import (
 	"repro/internal/bounds"
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/ls"
 	"repro/internal/milp"
 	"repro/internal/pb"
 	"repro/internal/portfolio"
@@ -300,9 +299,10 @@ type RunResult struct {
 	HasUB    bool
 	Best     int64 // incumbent (upper bound when !Solved)
 	Duration time.Duration
-	// Err is non-empty when the solver crashed (recovered panic) or ended
-	// in core.StatusError; the cell renders as "crash" and never counts as
-	// solved. One crashing column must not abort a whole table run.
+	// Err is non-empty when every member of the column's race crashed
+	// (recovered panic or core.StatusError) or the column cannot run on the
+	// row; the cell renders as "crash" and never counts as solved. One
+	// crashing column must not abort a whole table run.
 	Err string
 	// Bounds is the bound-pipeline profile of the run (bsolo columns only:
 	// reduction cost, per-estimator call/time aggregates, LP warm-start
@@ -357,13 +357,14 @@ func (r *RunResult) BoundCalls() int64 { return r.Bounds.TotalCalls() }
 // (reduction + estimation).
 func (r *RunResult) BoundTime() time.Duration { return r.Bounds.TotalTime() }
 
-// Run executes one solver on one instance. The solver runs behind a panic
-// barrier: a crash is reported in RunResult.Err instead of tearing down the
-// matrix run.
+// Run executes one solver on one instance. Every column but milp is a
+// portfolio race — a solo column races alone, without a board — so one
+// member contract runs it, one verifier checks its answer and fill reads its
+// result; a member's crash is caught by the race and reported in
+// RunResult.Err instead of tearing down the matrix run.
 func Run(inst Instance, id SolverID, lim Limits) RunResult {
 	start := time.Now()
 	rr := RunResult{Instance: inst.Name, Family: inst.Family, Solver: id}
-	bl := baseline.Limits{TimeLimit: lim.Time, MaxConflicts: lim.MaxConflicts}
 	// Time-to-first-incumbent capture: any member (B&B or LS) reporting its
 	// first incumbent stamps the wall-clock once. Concurrent members race on
 	// the stamp, hence the CAS; presolve time counts (it is part of the cell).
@@ -375,77 +376,36 @@ func Run(inst Instance, id SolverID, lim Limits) RunResult {
 		}
 		firstInc.CompareAndSwap(0, ns)
 	}
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				rr.Solved, rr.HasUB = false, false
-				rr.Err = fmt.Sprintf("panic: %v", r)
-			}
-		}()
-		prob := inst.Prob
-		if lim.Presolve {
-			fx, err := preprocess.FixVariables(prob, preprocess.DefaultFixOptions)
-			if err != nil {
-				rr.Err = "presolve: " + err.Error()
-				return
-			}
-			prob = fx.Problem
-			rr.FixedVars = fx.NumFixed()
+	prob := inst.Prob
+	if lim.Presolve {
+		if fx, err := preprocess.FixVariables(prob, preprocess.DefaultFixOptions); err != nil {
+			rr.Err = "presolve: " + err.Error()
+		} else {
+			prob, rr.FixedVars = fx.Problem, fx.NumFixed()
 		}
-		switch id {
-		case SolverPBS:
-			fill(&rr, baseline.PBS(prob, bl))
-		case SolverGalena:
-			fill(&rr, baseline.Galena(prob, bl))
-		case SolverMILP:
-			nodes := lim.MilpNodes
-			if nodes == 0 {
-				nodes = 2_000_000
-			}
-			m := milp.Solve(prob, milp.Options{TimeLimit: lim.Time, MaxNodes: nodes})
-			rr.Solved = m.Status == milp.StatusOptimal || m.Status == milp.StatusInfeasible
-			rr.HasUB = m.HasSolution
-			rr.Best = m.Best
-		case SolverPlain:
-			fill(&rr, baseline.Bsolo(prob, core.LBNone, bl))
-		case SolverMIS:
-			fill(&rr, baseline.Bsolo(prob, core.LBMIS, bl))
-		case SolverLGR:
-			fill(&rr, baseline.Bsolo(prob, core.LBLGR, bl))
-		case SolverLPR:
-			fill(&rr, baseline.Bsolo(prob, core.LBLPR, bl))
-		case SolverPortfolio:
-			fillPortfolio(&rr, runPortfolio(prob, lim, false, false, noteInc))
-		case SolverPortfolioIso:
-			fillPortfolio(&rr, runPortfolio(prob, lim, true, false, noteInc))
-		case SolverPortfolioLS:
-			fillPortfolio(&rr, runPortfolio(prob, lim, false, true, noteInc))
-		case SolverCoreGuided:
-			if inst.WBO == nil {
-				rr.Err = "core-guided requires a wbo-family instance"
-				return
-			}
-			fillWBO(&rr, wbo.Solve(inst.WBO, wbo.Options{
-				TimeLimit: lim.Time, MaxConflicts: lim.MaxConflicts}))
-		case SolverPortfolioWbo:
-			if inst.WBO == nil {
-				rr.Err = "portfolio-wbo requires a wbo-family instance"
-				return
-			}
-			// The mixed race pairs the core-guided member with the exact
-			// members on the ORIGINAL compilation: presolve would renumber
-			// the compiled problem away from the WBO instance's extended
-			// space and break the witness mapping.
-			fillPortfolio(&rr, runPortfolioWbo(inst, lim, noteInc))
-		case SolverLS:
-			fillLS(&rr, ls.Solve(prob, ls.Options{
-				Seed:        1,
-				TimeLimit:   lim.Time,
-				MaxFlips:    lsFlipBudget(lim),
-				OnIncumbent: noteInc,
-			}))
+	}
+	switch {
+	case rr.Err != "": // presolve failed
+	case id == SolverMILP:
+		nodes := lim.MilpNodes
+		if nodes == 0 {
+			nodes = 2_000_000
 		}
-	}()
+		m := milp.Solve(prob, milp.Options{TimeLimit: lim.Time, MaxNodes: nodes})
+		rr.Solved = m.Status == milp.StatusOptimal || m.Status == milp.StatusInfeasible
+		rr.HasUB = m.HasSolution
+		rr.Best = m.Best
+	default:
+		raceProb, configs, opts, err := column(inst, prob, id, lim)
+		if err != nil {
+			rr.Err = err.Error()
+			break
+		}
+		for i := range configs {
+			setLimits(&configs[i], lim, noteInc)
+		}
+		fill(&rr, portfolio.SolveOpts(raceProb, configs, opts))
+	}
 	rr.Duration = time.Since(start)
 	rr.FirstIncumbent = time.Duration(firstInc.Load())
 	// Enforce the wall-clock budget strictly (the paper's 1h cutoff): a
@@ -457,99 +417,92 @@ func Run(inst Instance, id SolverID, lim Limits) RunResult {
 	return rr
 }
 
-func fill(rr *RunResult, res core.Result) {
-	rr.Solved = res.Status == core.StatusOptimal ||
-		res.Status == core.StatusSatisfiable ||
-		res.Status == core.StatusUnsat
-	rr.HasUB = res.HasSolution
-	rr.Best = res.Best
-	rr.Bounds = res.Stats.Bounds
-	rr.Conflicts = res.Stats.Conflicts + res.Stats.BoundConflicts
-	rr.Decisions = res.Stats.Decisions
-	rr.Propagations = res.Stats.Propagations
-	if res.Status == core.StatusError {
-		rr.Solved, rr.HasUB = false, false
-		if res.Err != nil {
-			rr.Err = res.Err.Error()
-		} else {
-			rr.Err = "error"
+// column maps a solver column to its race: the problem it runs on, its
+// members (limits still unset) and the race options. A solo column is one
+// member with NoSharing, so its search is exactly the solver's own. It fails
+// when the column cannot run on the row.
+func column(inst Instance, prob *pb.Problem, id SolverID, lim Limits) (*pb.Problem, []portfolio.Config, portfolio.Options, error) {
+	solo := portfolio.Options{NoSharing: true}
+	one := func(opt core.Options) []portfolio.Config {
+		return []portfolio.Config{{Name: string(id), Options: opt}}
+	}
+	switch id {
+	case SolverPBS:
+		return prob, one(baseline.PBS()), solo, nil
+	case SolverGalena:
+		// Galena's preprocessing is part of the solver: it counts against
+		// the limit, and a budget it used up leaves the member 1ns, which the
+		// race reports as LIMIT without starting it.
+		t0 := time.Now()
+		pre := baseline.GalenaPreprocess(prob)
+		cfg := one(baseline.Galena())
+		if lim.Time > 0 {
+			cfg[0].Options.TimeLimit = max(lim.Time-time.Since(t0), time.Nanosecond)
 		}
-	}
-}
-
-// memberConfigs returns the default four bsolo members with the cell's
-// limits copied into each; noteInc receives every member's incumbent
-// reports for the FirstIncumbent column.
-func memberConfigs(lim Limits, noteInc func(int64)) []portfolio.Config {
-	configs := portfolio.DefaultConfigs()
-	for i := range configs {
-		o := &configs[i].Options
-		o.TimeLimit, o.MaxConflicts = lim.Time, lim.MaxConflicts
-		o.OnIncumbent = noteInc
-	}
-	return configs
-}
-
-// runPortfolio runs the default four-member race under the harness limits,
-// cooperatively or isolated; withLS appends one UB-only local-search member
-// (the portfolio-ls column). noteInc receives every member's incumbent
-// reports for the FirstIncumbent column.
-func runPortfolio(p *pb.Problem, lim Limits, isolated, withLS bool, noteInc func(int64)) portfolio.Result {
-	configs := memberConfigs(lim, noteInc)
-	if withLS {
-		cfg := portfolio.LSConfig("ls", 101, lsFlipBudget(lim))
-		cfg.LS.TimeLimit = lim.Time
-		cfg.LS.OnIncumbent = noteInc
-		// The LS member goes FIRST: with spare cores the order is
-		// irrelevant (everyone races concurrently), but when members are
-		// serialized (MaxConcurrent or GOMAXPROCS caps, single-core CI) the
-		// UB-only worker must run before the exact members so its incumbent
-		// is already on the board warming their pruning — the reverse order
+		return pre, cfg, solo, nil
+	case SolverPlain:
+		return prob, one(baseline.Bsolo(core.LBNone)), solo, nil
+	case SolverMIS:
+		return prob, one(baseline.Bsolo(core.LBMIS)), solo, nil
+	case SolverLGR:
+		return prob, one(baseline.Bsolo(core.LBLGR)), solo, nil
+	case SolverLPR:
+		return prob, one(baseline.Bsolo(core.LBLPR)), solo, nil
+	case SolverLS:
+		return prob, []portfolio.Config{portfolio.LSConfig("ls", 1, 0)}, solo, nil
+	case SolverPortfolio:
+		return prob, portfolio.DefaultConfigs(), portfolio.Options{}, nil
+	case SolverPortfolioIso:
+		return prob, portfolio.DefaultConfigs(), solo, nil
+	case SolverPortfolioLS:
+		// The LS member goes FIRST: with spare cores the order is irrelevant
+		// (everyone races concurrently), but when members are serialized
+		// (MaxConcurrent or GOMAXPROCS caps, single-core CI) the UB-only
+		// worker must run before the exact members so its incumbent is
+		// already on the board warming their pruning — the reverse order
 		// would delay the first incumbent to the very end of the race.
-		configs = append([]portfolio.Config{cfg}, configs...)
-	}
-	return portfolio.SolveOpts(p, configs, portfolio.Options{NoSharing: isolated})
-}
-
-// runPortfolioWbo runs the default four-member race plus one core-guided
-// member on a FamilyWbo instance. The race operates on the instance's
-// Builder() compilation (inst.Prob), which is exactly the space the
-// core-guided member's ExtendedWitness maps into.
-func runPortfolioWbo(inst Instance, lim Limits, noteInc func(int64)) portfolio.Result {
-	configs := memberConfigs(lim, noteInc)
-	cg := portfolio.Config{CoreGuided: &portfolio.CoreGuided{
-		Instance: inst.WBO,
-		Options:  wbo.Options{TimeLimit: lim.Time, MaxConflicts: lim.MaxConflicts},
-	}}
-	configs = append([]portfolio.Config{cg}, configs...)
-	// Core-guided must genuinely race the exact members, not replace them:
-	// on a single-CPU box the default concurrency (GOMAXPROCS) serializes
-	// the members, and whichever strategy happens to run first would
-	// monopolize the cell. A floor of two keeps the core-guided member and
-	// at least one B&B member timesharing, so the faster strategy wins the
-	// row either way.
-	conc := runtime.GOMAXPROCS(0)
-	if conc < 2 {
-		conc = 2
-	}
-	return portfolio.SolveOpts(inst.Prob, configs, portfolio.Options{MaxConcurrent: conc})
-}
-
-// fillWBO maps a core-guided outcome onto the table cell. Optimal and
-// hard-UNSAT verdicts both count as solved — the core-guided loop is a
-// complete method, unlike the UB-only LS column.
-func fillWBO(rr *RunResult, res wbo.Result) {
-	rr.Solved = res.Status == core.StatusOptimal || res.Status == core.StatusUnsat
-	rr.HasUB = res.HasSolution
-	rr.Best = res.Best
-	rr.Conflicts = res.Conflicts
-	if res.Status == core.StatusError {
-		rr.Solved, rr.HasUB = false, false
-		if res.Err != nil {
-			rr.Err = res.Err.Error()
-		} else {
-			rr.Err = "error"
+		configs := append([]portfolio.Config{portfolio.LSConfig("ls", 101, 0)}, portfolio.DefaultConfigs()...)
+		return prob, configs, portfolio.Options{}, nil
+	case SolverCoreGuided, SolverPortfolioWbo:
+		// The core-guided columns need the WBO payload and race on the
+		// instance's ORIGINAL compilation: presolve would renumber it away
+		// from the extended space the core-guided witnesses are mapped into.
+		if inst.WBO == nil {
+			return nil, nil, solo, fmt.Errorf("%s requires a wbo-family instance", id)
 		}
+		configs := []portfolio.Config{{Name: "core-guided", CoreGuided: &portfolio.CoreGuided{Instance: inst.WBO}}}
+		if id == SolverCoreGuided {
+			return inst.Prob, configs, solo, nil
+		}
+		// Core-guided must genuinely race the exact members, not replace
+		// them: on a single-CPU box the default concurrency (GOMAXPROCS)
+		// serializes the members, and whichever strategy happens to run
+		// first would monopolize the cell. A floor of two keeps the
+		// core-guided member and at least one B&B member timesharing, so the
+		// faster strategy wins the row either way.
+		configs = append(configs, portfolio.DefaultConfigs()...)
+		return inst.Prob, configs, portfolio.Options{MaxConcurrent: max(2, runtime.GOMAXPROCS(0))}, nil
+	}
+	return nil, nil, solo, fmt.Errorf("unknown solver %q", id)
+}
+
+// setLimits copies the cell's limits into a member, whichever solver it
+// configures, unless the column already set a tighter TimeLimit (galena);
+// noteInc receives its incumbent reports for the FirstIncumbent column.
+func setLimits(c *portfolio.Config, lim Limits, noteInc func(int64)) {
+	switch {
+	case c.CoreGuided != nil:
+		o := &c.CoreGuided.Options
+		o.TimeLimit, o.MaxConflicts = lim.Time, lim.MaxConflicts
+	case c.LS != nil:
+		o := c.LS
+		o.TimeLimit, o.MaxFlips, o.OnIncumbent = lim.Time, lsFlipBudget(lim), noteInc
+	default:
+		o := &c.Options
+		if o.TimeLimit == 0 {
+			o.TimeLimit = lim.Time
+		}
+		o.MaxConflicts, o.OnIncumbent = lim.MaxConflicts, noteInc
 	}
 }
 
@@ -564,37 +517,40 @@ func lsFlipBudget(lim Limits) int64 {
 	return 256 * lim.MaxConflicts
 }
 
-// fillLS maps a standalone local-search outcome onto the table cell. LS is
-// UB-only: the cell counts as solved only for the verified SAT witness on an
-// objective-free instance, never for optimality or infeasibility.
-func fillLS(rr *RunResult, res ls.Result) {
-	rr.Solved = res.Satisfiable
+// fill maps a race outcome onto the table cell: the verdict and incumbent
+// come from the race result, the effort counters are summed across every
+// member, and the sharing columns aggregate the member-side counters plus
+// the board's accepted-clause total. A race in which every member crashed is
+// a crash cell. Members and Winner are reported for real races only.
+func fill(rr *RunResult, res portfolio.Result) {
+	rr.Solved = res.Status == core.StatusOptimal ||
+		res.Status == core.StatusSatisfiable ||
+		res.Status == core.StatusUnsat
 	rr.HasUB = res.HasSolution
 	rr.Best = res.Best
-	rr.Flips = res.Stats.Flips
-	if res.Err != nil {
-		rr.Solved, rr.HasUB = false, false
-		rr.Err = res.Err.Error()
+	rr.Bounds = res.Stats.Bounds
+	if len(res.Members) > 1 {
+		rr.Winner, rr.Members = res.Winner, len(res.Members)
+	} else if len(res.Members) == 1 {
+		// A solo race that ends without an incumbent reports an empty
+		// Result; its member still carries the profile.
+		rr.Bounds = res.Members[0].Stats.Bounds
 	}
-}
-
-// fillPortfolio maps a portfolio outcome onto the table cell: the verdict and
-// incumbent come from the race result, the effort counters are summed across
-// every member, and the sharing columns aggregate the member-side counters
-// plus the board's accepted-clause total.
-func fillPortfolio(rr *RunResult, res portfolio.Result) {
-	fill(rr, res.Result)
-	rr.Winner = res.Winner
-	rr.Members = len(res.Members)
 	rr.Conflicts = res.TotalConflicts()
 	rr.Decisions = res.TotalDecisions()
 	rr.ShClausesPub = res.Board.ClausesPublished
-	rr.Propagations = 0
 	for _, m := range res.Members {
 		rr.ShClausesImp += m.Stats.ImportedClauses
 		rr.ShForeignPrunes += m.Stats.Sharing.ForeignUBPrunes
 		rr.Propagations += m.Stats.Propagations
 		rr.Flips += m.Stats.Flips
+	}
+	if res.Crashed() {
+		var msgs []string
+		for _, m := range res.Members {
+			msgs = append(msgs, fmt.Sprintf("%s: %v", m.Name, m.Err))
+		}
+		rr.Err = strings.Join(msgs, "; ")
 	}
 }
 

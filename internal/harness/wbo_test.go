@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/pb"
+	"repro/internal/wbo"
 )
 
 // TestWboFamilyMatrix runs the WBO family at test scale through the
@@ -56,6 +57,42 @@ func TestCoreGuidedColumnRefusesNonWboRows(t *testing.T) {
 		rr := Run(insts[0], id, Limits{MaxConflicts: 1000})
 		if rr.Err == "" || rr.Solved {
 			t.Fatalf("%s on a non-wbo row: err=%q solved=%v want error cell", id, rr.Err, rr.Solved)
+		}
+	}
+}
+
+// TestWboOffsetColumnsAgree pins that every column on a WBO row reports the
+// compiled cost: the instance Offset lives outside the compiled objective,
+// so the core-guided column must not add it when the exact columns do not.
+func TestWboOffsetColumnsAgree(t *testing.T) {
+	lit := func(v int, neg bool) []pb.Term { return []pb.Term{{Coef: 1, Lit: pb.MkLit(pb.Var(v), neg)}} }
+	wi := &wbo.Instance{
+		NumVars: 2,
+		Hard:    []wbo.HardCons{{Terms: append(lit(0, false), lit(1, false)...), Cmp: pb.GE, Rhs: 1}},
+		Soft: []wbo.SoftCons{
+			{Weight: 3, Terms: lit(0, true), Cmp: pb.GE, Rhs: 1},
+			{Weight: 2, Terms: lit(1, true), Cmp: pb.GE, Rhs: 1},
+		},
+		Offset: 4,
+	}
+	b, err := wi.Builder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := b.Problem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pb.BruteForce(p)
+	if !want.Feasible || want.Optimum != 2 {
+		t.Fatalf("compiled optimum %d (feasible=%v), want 2", want.Optimum, want.Feasible)
+	}
+	inst := Instance{Name: "wbo-offset", Family: FamilyWbo, Prob: p, WBO: wi}
+	for _, id := range []SolverID{SolverCoreGuided, SolverPortfolioWbo, SolverMIS} {
+		rr := Run(inst, id, Limits{MaxConflicts: 10000})
+		if rr.Err != "" || !rr.Solved || !rr.HasUB || rr.Best != want.Optimum {
+			t.Fatalf("%s: err=%q solved=%v best=%d, want optimal %d (compiled cost, offset excluded)",
+				id, rr.Err, rr.Solved, rr.Best, want.Optimum)
 		}
 	}
 }

@@ -155,11 +155,19 @@ func NewTracer(capacity int) *Tracer {
 }
 
 // Named returns a handle that shares this tracer's ring but stamps every
-// event with the given member label. Nil-safe: a nil receiver returns nil,
-// so wiring `tracer.Named(cfg.Name)` through a disabled run stays free.
+// event with the given member label. Naming a named handle nests the
+// labels as "outer/inner" (bsolvd names a job's tracer by job ID, the
+// portfolio then names each member: "<jobID>/lpr"). Nil-safe: a nil
+// receiver returns nil, so wiring `tracer.Named(cfg.Name)` through a
+// disabled run stays free.
 func (t *Tracer) Named(member string) *Tracer {
 	if t == nil {
 		return nil
+	}
+	if t.member != "" && member != "" {
+		member = t.member + "/" + member
+	} else if member == "" {
+		member = t.member
 	}
 	return &Tracer{r: t.r, member: member}
 }

@@ -74,6 +74,26 @@ func TestTracerNamedSharesRing(t *testing.T) {
 	}
 }
 
+// TestTracerNamedNests pins that naming a named handle keeps the outer
+// label: a job-named tracer handed to a portfolio stamps "<job>/<member>".
+func TestTracerNamedNests(t *testing.T) {
+	tr := NewTracer(16)
+	job := tr.Named("job-7")
+	job.Named("lpr").Emit(EvIncumbent, "", 10, 0, "local")
+	job.Named("").Emit(EvIncumbent, "", 9, 0, "local")
+	tr.Named("mis").Named("").Emit(EvIncumbent, "", 8, 0, "local")
+	evs := tr.Snapshot()
+	want := []string{"job-7/lpr", "job-7", "mis"}
+	if len(evs) != len(want) {
+		t.Fatalf("got %d events, want %d", len(evs), len(want))
+	}
+	for i, w := range want {
+		if evs[i].Member != w {
+			t.Fatalf("event %d: member %q, want %q", i, evs[i].Member, w)
+		}
+	}
+}
+
 func TestTracerConcurrentEmit(t *testing.T) {
 	tr := NewTracer(1 << 10)
 	var wg sync.WaitGroup

@@ -129,21 +129,25 @@ func LSConfig(name string, seed int64, maxFlips int64) Config {
 // each Config's solver options; a member's TimeLimit counts from the start of
 // the race, not from when the member is scheduled). The zero value is the
 // default cooperative race: sharing on, concurrency capped at GOMAXPROCS.
+// Every front end (harness columns, bsolo, bsolvd) runs its solve through
+// SolveOpts, a solo solver as a one-member race.
 type Options struct {
-	// NoSharing disconnects the board entirely: members race in isolation
-	// (the pre-cooperative behaviour). Required for the deterministic mode
-	// and for sharing-ablation benchmarks.
+	// NoSharing disconnects the board entirely: members race in isolation.
+	// Required for the deterministic mode, sharing ablations and solo solves.
 	NoSharing bool
-	// Share sizes the cooperative board (zero value = share defaults:
-	// capacity 4096, clause length ≤ 8, LBD ≤ 4). Ignored with NoSharing.
-	Share share.Config
+	// Board is the fresh board the members join, built (and sized) by the
+	// caller, who may seed it with SeedIncumbent and read it mid-race; nil
+	// builds a default one. Ignored with NoSharing.
+	Board *share.Board
 	// MaxConcurrent caps how many members run simultaneously; 0 selects
 	// GOMAXPROCS. Members beyond the cap wait their turn in config order.
 	// MaxConcurrent=1 runs the members strictly sequentially in config
 	// order, which with NoSharing is fully deterministic.
 	MaxConcurrent int
 	// Stop, when non-nil, cancels every member as soon as the channel is
-	// closed (the CLI's SIGINT/SIGTERM handler).
+	// closed (the CLI's SIGINT/SIGTERM handler); the best incumbent found so
+	// far is stitched together (StatusLimit), as when all members hit their
+	// budgets.
 	Stop <-chan struct{}
 	// Audit, when non-nil, attaches the invariant auditor to every member:
 	// each solver replays its learned clauses, bound conflicts, imports and
@@ -152,23 +156,14 @@ type Options struct {
 	Audit *audit.Auditor
 	// Trace, when non-nil, records structured search events from every
 	// member into the shared ring, each stamped with the member's name
-	// (obs.Tracer.Named). Nil keeps the members' hot paths trace-free.
+	// (obs.Tracer.Named; under a named Trace, "<name>/<member>"). Nil keeps
+	// the members' hot paths trace-free.
 	Trace *obs.Tracer
 	// Registry, when non-nil, receives one live metrics source per member
 	// (registered under the member name, in config order) plus the board's
 	// snapshot function, so a concurrent scraper (`bsolo -debug-addr`) sees
 	// the full roster and tear-free per-member counters mid-race.
 	Registry *obs.Registry
-	// WarmIncumbent, when non-nil, seeds the board with a known-feasible
-	// solution before any member starts — the serving layer's solve-session
-	// cache hands back the previous submission's incumbent so every member
-	// begins with its upper bound (and the eq. 10 cut it implies) instead of
-	// rediscovering it. The assignment is verified against p and its cost
-	// recomputed from the values before publication; an infeasible or
-	// wrong-length seed (a corrupted cache entry) is silently dropped and the
-	// race starts cold — seeding can degrade to nothing but never poison the
-	// board. Ignored with NoSharing (there is no board to seed).
-	WarmIncumbent []bool
 }
 
 // MemberResult is one member's outcome, reported in config order.
@@ -214,6 +209,12 @@ func (r *Result) TotalConflicts() int64 {
 	return n
 }
 
+// Crashed reports that every member ended in core.StatusError: the race
+// produced no outcome at all, so its StatusLimit is a crash, not a budget.
+func (r *Result) Crashed() bool {
+	return len(r.Members) > 0 && len(r.Errors) == len(r.Members)
+}
+
 // TotalDecisions sums decisions across every member.
 func (r *Result) TotalDecisions() int64 {
 	var n int64
@@ -230,13 +231,6 @@ func (r *Result) TotalDecisions() int64 {
 // runs with the time that remains, or not at all).
 func Solve(p *pb.Problem, configs []Config) Result {
 	return SolveOpts(p, configs, Options{})
-}
-
-// SolveWithCancel is Solve with an external stop channel: closing stop
-// cancels every member, and the best incumbent found so far is stitched
-// together (StatusLimit), exactly as when all members hit their budgets.
-func SolveWithCancel(p *pb.Problem, configs []Config, stop <-chan struct{}) Result {
-	return SolveOpts(p, configs, Options{Stop: stop})
 }
 
 // SolveOpts races the given configurations under the given portfolio
@@ -258,7 +252,10 @@ func SolveOpts(p *pb.Problem, configs []Config, opts Options) Result {
 	var board *share.Board
 	handles := make([]*share.Member, len(configs)) // all nil with NoSharing
 	if !opts.NoSharing {
-		board = share.NewBoard(opts.Share)
+		board = opts.Board
+		if board == nil {
+			board = share.NewBoard(share.Config{})
+		}
 		for i, cfg := range configs {
 			if cfg.UBOnly() || cfg.CoreGuided != nil {
 				// UB-only and core-guided members neither publish nor drain
@@ -269,7 +266,6 @@ func SolveOpts(p *pb.Problem, configs []Config, opts Options) Result {
 				handles[i] = board.Join(cfg.name())
 			}
 		}
-		SeedIncumbent(board, p, opts.WarmIncumbent)
 	}
 
 	// Observability wiring: one live metrics source per member (registered
@@ -388,11 +384,12 @@ func SolveOpts(p *pb.Problem, configs []Config, opts Options) Result {
 	return finalize(Result{Result: core.Result{Status: core.StatusLimit}})
 }
 
-// SeedIncumbent publishes a cached incumbent to the board under a "warm"
-// member identity. Defensive by construction: the assignment must have the
-// right length and satisfy every constraint, and the published cost is
-// recomputed from the values (internal space, excluding CostOffset) — a
-// corrupted cache entry fails verification and the board stays empty.
+// SeedIncumbent publishes a known incumbent (bsolvd's cached one) to a fresh
+// board, under a "warm" member identity, before the race that joins it
+// (Options.Board) starts. The assignment must have the right length and
+// satisfy every constraint, and the published cost is recomputed from the
+// values — a corrupted cache entry fails verification and the board stays
+// empty.
 func SeedIncumbent(board *share.Board, p *pb.Problem, values []bool) bool {
 	if board == nil || values == nil {
 		return false

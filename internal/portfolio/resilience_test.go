@@ -96,7 +96,7 @@ func TestSolveWithCancelStitchesIncumbent(t *testing.T) {
 				once.Do(func() { close(stop) })
 			}
 		}
-		res := SolveWithCancel(p, configs, stop)
+		res := SolveOpts(p, configs, Options{Stop: stop})
 		switch res.Status {
 		case core.StatusLimit:
 			sawLimit = true

@@ -79,9 +79,9 @@ type Job struct {
 	prob *pb.Problem
 
 	mu sync.Mutex
-	// board is the job's private incumbent board (single-solver jobs): the
-	// solver publishes every improvement (values included) to it, which is
-	// what lets the watchdog demote a stuck job to a full answer.
+	// board is the job's race board: every member publishes each
+	// improvement (values included) to it, which is what lets the watchdog
+	// and the drain demote a stuck job to a full answer.
 	board      *share.Board
 	status     JobStatus
 	submitted  time.Time
@@ -149,18 +149,7 @@ func (j *Job) recordIncumbent(best int64) {
 	j.lastBeat = time.Now()
 }
 
-// bestIncumbent returns the best objective observed so far (the watchdog's
-// demotion answer when the solve itself cannot deliver one).
-func (j *Job) bestIncumbent() (int64, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if len(j.incumbents) == 0 {
-		return 0, false
-	}
-	return j.incumbents[len(j.incumbents)-1].Best, true
-}
-
-// setBoard publishes the job's private board once the solve has built it.
+// setBoard publishes the job's board once the solve has built it.
 func (j *Job) setBoard(b *share.Board) {
 	j.mu.Lock()
 	j.board = b
@@ -168,24 +157,21 @@ func (j *Job) setBoard(b *share.Board) {
 }
 
 // bestKnown is the best answer retrievable without the solve's cooperation:
-// the private board's best solution (values included) when one exists, else
-// the best objective seen on the OnIncumbent stream (portfolio jobs publish
-// values only at the end, so a demoted portfolio job reports the objective
-// without an assignment).
+// the job board's best solution, values included (nil before the solve has
+// built its board or found an incumbent).
 func (j *Job) bestKnown() (*int64, []bool) {
 	j.mu.Lock()
 	board := j.board
 	j.mu.Unlock()
-	if board != nil {
-		if cost, values, _, ok := board.BestSolution(); ok {
-			ext := cost + j.prob.CostOffset
-			return &ext, values
-		}
+	if board == nil {
+		return nil, nil
 	}
-	if b, ok := j.bestIncumbent(); ok {
-		return &b, nil
+	cost, values, _, ok := board.BestSolution()
+	if !ok {
+		return nil, nil
 	}
-	return nil, nil
+	ext := cost + j.prob.CostOffset
+	return &ext, values
 }
 
 // finalize installs the terminal state exactly once and returns whether this

@@ -69,14 +69,14 @@ func (c LoadConfig) withDefaults() LoadConfig {
 // histogram, and the client-observed latency distribution (admission to
 // terminal status, queue wait included).
 type LoadReport struct {
-	Jobs     int                 `json:"jobs"`
-	Admitted int                 `json:"admitted"`
-	Shed     int                 `json:"shed"`
-	Rejected int                 `json:"rejected"` // non-429 rejections (drain, bad request, admission panic)
-	Statuses map[JobStatus]int   `json:"statuses"`
-	ShedFor  map[string]int      `json:"shed_for,omitempty"` // reason histogram for sheds/rejections
-	Rescued  int                 `json:"rescued"`            // watchdog demotions observed
-	CacheHit int                 `json:"cache_hits"`
+	Jobs     int               `json:"jobs"`
+	Admitted int               `json:"admitted"`
+	Shed     int               `json:"shed"`
+	Rejected int               `json:"rejected"` // non-429 rejections (drain, bad request, admission panic)
+	Statuses map[JobStatus]int `json:"statuses"`
+	ShedFor  map[string]int    `json:"shed_for,omitempty"` // reason histogram for sheds/rejections
+	Rescued  int               `json:"rescued"`            // watchdog demotions observed
+	CacheHit int               `json:"cache_hits"`
 	// Unresolved counts admitted jobs that never reached a terminal status
 	// within the wait budget — the zero-lost-jobs invariant requires 0.
 	Unresolved int     `json:"unresolved"`

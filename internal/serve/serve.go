@@ -15,8 +15,9 @@
 //     every bounds.Budget), and a job whose deadline expired while queued is
 //     answered "timeout" without wasting a solve.
 //   - Per-job panic isolation: each solve runs behind its own recover
-//     barrier (on top of core.SafeSolve and the portfolio's member
-//     isolation), so a poisoned instance crashes one job, never the daemon.
+//     barrier (on top of the portfolio's member isolation: every job, single
+//     solver or portfolio, is one race), so a poisoned instance crashes one
+//     job, never the daemon.
 //   - Watchdog demotion: a job whose solve stops making observable progress
 //     (live-metrics fingerprint and incumbent stream both frozen) is
 //     cancelled, given a grace period, and — if it still will not return —
@@ -41,6 +42,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -48,6 +50,7 @@ import (
 	"time"
 
 	"repro/internal/audit"
+	"repro/internal/baseline"
 	"repro/internal/bounds"
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -492,49 +495,44 @@ func (s *Server) solveGuarded(j *Job, sess *session) (out solveOutcome) {
 		aud = audit.New(j.prob)
 	}
 
+	// Every solver name is one race: "portfolio" the four bsolo members, any
+	// other name that one bsolo column alone. The job's board, seeded with
+	// the verified cache incumbent, makes every incumbent (values included)
+	// observable mid-run: the watchdog's demotion answer reads it.
 	method, isPortfolio, _ := solverMode(j.Solver)
-	if isPortfolio {
-		configs := portfolio.DefaultConfigs()
-		for i := range configs {
-			configs[i].Options.TimeLimit = rem
-			configs[i].Options.OnIncumbent = j.recordIncumbent
-			configs[i].Options.Live = j.live
-		}
-		pres := portfolio.SolveOpts(j.prob, configs, portfolio.Options{
-			Stop:          j.cancel,
-			Audit:         aud,
-			WarmIncumbent: warm,
-			Trace:         s.cfg.Trace.Named(j.ID),
-		})
-		s.ctr.memberCrashes.Add(int64(len(pres.Errors)))
-		out.res = pres.Result
-	} else {
-		opt := core.Options{
-			LowerBound:           method,
-			TimeLimit:            rem,
-			Cancel:               j.cancel,
-			CardinalityInference: true,
-			OnIncumbent:          j.recordIncumbent,
-			Live:                 j.live,
-			Audit:                aud,
-			Trace:                s.cfg.Trace.Named(j.ID),
-		}
-		// A private one-member board makes the solver's incumbents (values
-		// included) observable mid-run: the watchdog's demotion answer and
-		// the cache seed both read it.
-		board := share.NewBoard(share.Config{})
-		if warm != nil {
-			portfolio.SeedIncumbent(board, j.prob, warm)
-		}
-		j.setBoard(board)
-		opt.Share = board.Join(j.ID)
+	configs := portfolio.DefaultConfigs()
+	if !isPortfolio {
+		cfg := portfolio.Config{Name: j.Solver, Options: baseline.Bsolo(method)}
 		if method == core.LBLPR && sess != nil {
 			if sess.lpr == nil {
 				sess.lpr = &bounds.LPRState{}
 			}
-			opt.LPRState = sess.lpr
+			cfg.Options.LPRState = sess.lpr
 		}
-		out.res = core.SafeSolve(j.prob, opt)
+		configs = []portfolio.Config{cfg}
+	}
+	for i := range configs {
+		o := &configs[i].Options
+		o.TimeLimit, o.OnIncumbent, o.Live = rem, j.recordIncumbent, j.live
+	}
+	board := share.NewBoard(share.Config{})
+	portfolio.SeedIncumbent(board, j.prob, warm)
+	j.setBoard(board)
+	pres := portfolio.SolveOpts(j.prob, configs, portfolio.Options{
+		Board: board,
+		Stop:  j.cancel,
+		Audit: aud,
+		Trace: s.cfg.Trace.Named(j.ID),
+	})
+	s.ctr.memberCrashes.Add(int64(len(pres.Errors)))
+	out.res = pres.Result
+	if pres.Crashed() {
+		// No member produced an outcome: the job failed, it did not time out.
+		errs := make([]error, 0, len(pres.Members))
+		for _, m := range pres.Members {
+			errs = append(errs, m.Err)
+		}
+		out.res.Status, out.res.Err = core.StatusError, errors.Join(errs...)
 	}
 	if aud != nil && !aud.Ok() {
 		rep := aud.Snapshot()
