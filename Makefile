@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz bench bench-bounds bench-engine bench-portfolio bench-cuts bench-ls bench-wbo bench-snapshot bench-baseline bench-compare escape-check load-smoke table examples clean ci vet
+.PHONY: all build test pbobench race fuzz bench bench-bounds bench-engine bench-portfolio bench-cuts bench-ls bench-wbo bench-snapshot bench-baseline bench-compare escape-check load-smoke table examples clean ci vet
 
 all: build test
 
@@ -13,16 +13,23 @@ vet:
 	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt: needs formatting:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
-# What CI runs: gofmt + vet + build + full test suite, then the race detector on
-# the concurrency-sensitive packages (engine interrupt hook, solver
-# cancellation, portfolio racing + clause sharing, fault injection, the
-# incremental Reducer's watcher protocol, the warm-start LP state, the
-# live metrics registry, the bsolvd serving envelope), the daemon's
-# chaos/load smoke, the bench-regression gate against the committed
-# baseline, then a single-iteration smoke pass over the bound-pipeline,
-# engine, portfolio-sharing and cut-separation benchmarks and a small bench
-# snapshot.
-ci: vet build test
+# The benchmark is a nested module (pbobench/go.mod), so the root
+# `go build ./...` and `go test ./...` skip it; this target vets and tests it
+# against the working tree, so an internal API change that breaks it fails.
+pbobench:
+	$(GO) -C pbobench vet .
+	$(GO) -C pbobench test .
+
+# What CI runs: gofmt + vet + build + full test suite + the benchmark module,
+# then the race detector on the concurrency-sensitive packages (engine
+# interrupt hook, solver cancellation, portfolio racing + clause sharing,
+# fault injection, the incremental Reducer's watcher protocol, the
+# warm-start LP state, the live metrics registry, the bsolvd serving
+# envelope), the daemon's chaos/load smoke, the bench-regression gate against
+# the committed baseline, then a single-iteration smoke pass over the
+# bound-pipeline, engine, portfolio-sharing and cut-separation benchmarks
+# and a small bench snapshot.
+ci: vet build test pbobench
 	$(GO) test -race ./internal/engine ./internal/core ./internal/portfolio ./internal/share ./internal/ls ./internal/fault ./internal/bounds ./internal/lp ./internal/cuts ./internal/fuzz ./internal/obs ./internal/preprocess ./internal/serve ./internal/wbo ./internal/wcnf
 	$(MAKE) escape-check
 	$(MAKE) load-smoke

@@ -219,9 +219,7 @@ func BenchmarkAblationPreprocess(b *testing.B) {
 			for _, inst := range insts {
 				prob := inst.Prob
 				if pre {
-					p2, info, err := preprocess.Apply(prob, preprocess.Options{
-						Probing: true, Strengthening: true, Subsumption: true,
-					})
+					p2, info, err := preprocess.Apply(prob, preprocess.Options{Simplify: true})
 					if err == nil && !info.ProvedUnsat {
 						prob = p2
 					}

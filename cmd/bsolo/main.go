@@ -35,7 +35,6 @@ import (
 	"repro/internal/pb"
 	"repro/internal/portfolio"
 	"repro/internal/preprocess"
-	"repro/internal/share"
 	"repro/internal/verify"
 	"repro/internal/wbo"
 	"repro/internal/wcnf"
@@ -57,16 +56,13 @@ func main() {
 		lgrIters     = flag.Int("lgr-iters", 50, "Lagrangian subgradient iterations per bound")
 		boundBudget  = flag.Duration("bound-budget", 0, "wall-clock cap per lower-bound call (0 = derive from -time; -1ns = uncapped)")
 		fallbackK    = flag.Int("fallback-after", 0, "consecutive bound failures before demoting to MIS (0 = default 8; <0 = never)")
-		pre          = flag.Bool("preprocess", false, "apply probing/strengthening/subsumption first")
+		pre          = flag.Bool("preprocess", false, "apply subsumption, probing/strengthening and cardinality detection first")
 		presolve     = flag.Bool("presolve", false, "fix variables by probing + roof-duality-style persistency and solve the reduced problem (results are mapped back to the original variables)")
-		coverRed     = flag.Bool("cover", false, "apply covering-problem reductions (implies -preprocess machinery)")
+		coverRed     = flag.Bool("cover", false, "apply the covering-problem reductions (essential columns, row/column dominance) first; subsumption, probing and cardinality detection follow -preprocess")
 		pbLearn      = flag.Bool("pb-learning", false, "derive Galena-style cutting-plane constraints at conflicts")
 		cutsOn       = flag.Bool("cuts", true, "with -lb lpr: separate knapsack-cover and clique cuts into a managed pool")
 		portfolioRun = flag.Bool("portfolio", false, "race all four lower-bound methods concurrently")
 		shareOn      = flag.Bool("share", true, "with -portfolio: cooperative sharing (incumbents + learned clauses); false = isolated race")
-		shareLen     = flag.Int("share-len", 8, "with -portfolio -share: max literals of an exchanged clause")
-		shareLBD     = flag.Int("share-lbd", 4, "with -portfolio -share: max LBD of an exchanged clause")
-		shareCap     = flag.Int("share-cap", 4096, "with -portfolio -share: exchange ring capacity in clauses")
 		maxMembers   = flag.Int("members", 0, "with -portfolio: cap on concurrently running members (0 = GOMAXPROCS; 1 + -share=false = deterministic)")
 		lsMembers    = flag.Int("ls", 0, "with -portfolio: append this many stochastic local-search members (UB-only: they publish incumbents but never prove optimality or infeasibility)")
 		lsFlips      = flag.Int64("ls-flips", 0, "with -ls: per-member flip limit (0 = none; the wall clock governs)")
@@ -140,9 +136,7 @@ func main() {
 	if *pre || *coverRed {
 		var info preprocess.Info
 		prob, info, err = preprocess.Apply(prob, preprocess.Options{
-			Probing:           *pre,
-			Strengthening:     *pre,
-			Subsumption:       *pre,
+			Simplify:          *pre,
 			CoverReductions:   *coverRed,
 			CardinalityDetect: *pre,
 		})
@@ -160,7 +154,7 @@ func main() {
 	origProb := prob
 	var fixing *preprocess.Fixing
 	if *presolve {
-		fixing, err = preprocess.FixVariables(prob, preprocess.DefaultFixOptions)
+		fixing, err = preprocess.FixVariables(prob)
 		if err != nil {
 			fatal(err)
 		}
@@ -310,10 +304,7 @@ func main() {
 			o.BoundBudget, o.FallbackAfter, o.NoCuts = opt.BoundBudget, opt.FallbackAfter, opt.NoCuts
 			configs = append(configs, cfg)
 		}
-		if *shareOn {
-			popts.NoSharing = false
-			popts.Board = share.NewBoard(share.Config{Capacity: *shareCap, MaxLen: *shareLen, MaxLBD: *shareLBD})
-		}
+		popts.NoSharing = !*shareOn
 	case !*coreGuided:
 		configs = []portfolio.Config{{Name: strings.ToLower(*lbFlag), Options: opt}}
 	}

@@ -49,10 +49,8 @@ func Galena() core.Options {
 // failure falls back to the raw instance.
 func GalenaPreprocess(p *pb.Problem) *pb.Problem {
 	pre, _, err := preprocess.Apply(p, preprocess.Options{
-		Probing:       true,
-		Strengthening: true,
-		Subsumption:   true,
-		MaxProbeVars:  2000,
+		Simplify:     true,
+		MaxProbeVars: 2000,
 	})
 	if err != nil {
 		return p

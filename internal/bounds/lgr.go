@@ -22,19 +22,19 @@ type LGR struct {
 	// paper observes slow convergence on most instances — the ablation
 	// bench A5 sweeps this knob.
 	Iterations int
-	// Lambda is the initial Polyak step scale (default 2.0).
-	Lambda float64
-	// HalveEvery halves Lambda after this many non-improving steps
-	// (default 5).
-	HalveEvery int
-	// DisableAlphaFilter turns off the §4.3 refinement of ω_pl.
-	DisableAlphaFilter bool
 	// WarmStart seeds the multipliers with a greedy dual-ascent pass before
 	// the subgradient iterations. The paper's implementation follows [12]
 	// directly (cold start) and reports slow convergence — the ablation
 	// bench A5 quantifies the difference.
 	WarmStart bool
 }
+
+// The Polyak step schedule: the step scale starts at lgrLambda and halves
+// after lgrHalveEvery non-improving steps.
+const (
+	lgrLambda     = 2.0
+	lgrHalveEvery = 5
+)
 
 // Name implements Estimator.
 func (LGR) Name() string { return "lgr" }
@@ -92,14 +92,7 @@ func (l LGR) Estimate(e *engine.Engine, red *Reduced, cost []int64, target int64
 	if iters <= 0 {
 		iters = 50
 	}
-	lambda := l.Lambda
-	if lambda <= 0 {
-		lambda = 2.0
-	}
-	halveEvery := l.HalveEvery
-	if halveEvery <= 0 {
-		halveEvery = 5
-	}
+	lambda := lgrLambda
 
 	xp := toXSpace(red, cost)
 	m := len(xp.rows)
@@ -143,7 +136,7 @@ func (l LGR) Estimate(e *engine.Engine, red *Reduced, cost []int64, target int64
 			sinceImprove = 0
 		} else {
 			sinceImprove++
-			if sinceImprove >= halveEvery {
+			if sinceImprove >= lgrHalveEvery {
 				lambda /= 2
 				sinceImprove = 0
 			}
@@ -195,7 +188,7 @@ func (l LGR) Estimate(e *engine.Engine, red *Reduced, cost []int64, target int64
 	for k, i := range s {
 		res.Responsible[k] = xp.rows[i].engIdx
 	}
-	if !l.DisableAlphaFilter && len(s) > 0 {
+	if len(s) > 0 {
 		res.ExcludedVars = alphaFilter(s, bestMu, cost,
 			func(rowIdx int, visit func(v pb.Var, xCoef float64)) {
 				c := e.Cons(xp.rows[rowIdx].engIdx)

@@ -23,10 +23,9 @@ type cutInstall struct {
 	m0 int // problem rows in xp before any cut row
 
 	// Aligned per installed cut row k (x-space row m0+k):
-	ids       []int64     // pool id, the warm-start column key
-	full      [][]pb.Term // the cut's full terms (α-filter needs global coefficients)
-	falseLits [][]pb.Lit  // currently-false literals, the cut's explanation
-	resid     []Row       // residual integer view (completion cap, tests)
+	ids       []int64    // pool id, the warm-start column key
+	falseLits [][]pb.Lit // currently-false literals, the cut's explanation
+	resid     []Row      // residual integer view (completion cap, tests)
 
 	// done records pool ids already visited this estimation — installed,
 	// skipped as satisfied, or rolled back — so separation rounds only
@@ -45,7 +44,6 @@ type cutInstall struct {
 func (inst *cutInstall) install(e *engine.Engine, xp *xProblem, pool *cuts.Pool, cost []int64) {
 	inst.m0 = len(xp.rows)
 	inst.ids = inst.ids[:0]
-	inst.full = inst.full[:0]
 	inst.falseLits = inst.falseLits[:0]
 	inst.resid = inst.resid[:0]
 	clear(inst.done)
@@ -115,7 +113,6 @@ func (inst *cutInstall) installOne(e *engine.Engine, xp *xProblem, id int64, ter
 	}
 	xp.addRow(-1, residTerms, float64(residDegree), cost)
 	inst.ids = append(inst.ids, id)
-	inst.full = append(inst.full, terms)
 	inst.falseLits = append(inst.falseLits, falseLits)
 	inst.resid = append(inst.resid, Row{EngIdx: -1, Terms: residTerms, Degree: residDegree})
 	return true
@@ -154,7 +151,6 @@ func (inst *cutInstall) rollback(xp *xProblem, snap cutSnapshot) {
 	xp.rows = xp.rows[:snap.rows]
 	xp.entries = xp.entries[:snap.entries]
 	inst.ids = inst.ids[:snap.cuts]
-	inst.full = inst.full[:snap.cuts]
 	inst.falseLits = inst.falseLits[:snap.cuts]
 	inst.resid = inst.resid[:snap.cuts]
 }

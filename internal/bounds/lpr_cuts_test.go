@@ -51,7 +51,7 @@ func TestLPRCutsCloseRootGap(t *testing.T) {
 	}
 
 	st := &LPRState{}
-	pool := cuts.NewPool(cuts.Config{})
+	pool := cuts.NewPool()
 	est := LPR{State: st, Cuts: pool}
 	res := est.Estimate(e, red, p.Cost, p.TotalCost()+1, Budget{})
 	if res.Failed || res.Incomplete {
@@ -103,7 +103,7 @@ func TestLPRCutsInterruptBetweenRounds(t *testing.T) {
 	red := Extract(e)
 
 	st := &LPRState{}
-	pool := cuts.NewPool(cuts.Config{})
+	pool := cuts.NewPool()
 	est := LPR{State: st, Cuts: pool}
 	calls := 0
 	bud := Budget{Interrupt: func() bool {
@@ -167,7 +167,7 @@ func TestLPRCutsInfeasibleResidual(t *testing.T) {
 	if e.SeedUnits() < 0 {
 		t.Fatalf("unexpected unit conflict")
 	}
-	pool := cuts.NewPool(cuts.Config{})
+	pool := cuts.NewPool()
 	if !pool.Add(cuts.Cut{Terms: []pb.Term{
 		{Coef: 1, Lit: pb.PosLit(2)}, {Coef: 1, Lit: pb.PosLit(3)},
 	}, Degree: 2}) {
@@ -198,7 +198,7 @@ func TestLPRCutsSoundDownRandomPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for iter := 0; iter < 150; iter++ {
 		p := randomProblem(rng, 4+rng.Intn(5))
-		pool := cuts.NewPool(cuts.Config{Every: 1})
+		pool := cuts.NewPool()
 		est := LPR{State: &LPRState{}, Cuts: pool}
 		e := engine.New(p)
 		if e.SeedUnits() >= 0 && e.Propagate() < 0 {
@@ -207,6 +207,7 @@ func TestLPRCutsSoundDownRandomPaths(t *testing.T) {
 				if red.Infeasible {
 					break
 				}
+				separateAtNextProbe(pool)
 				res := est.Estimate(e, red, p.Cost, p.TotalCost()+1, Budget{})
 				if res.Failed {
 					continue
@@ -243,30 +244,17 @@ func TestLPRCutsSoundDownRandomPaths(t *testing.T) {
 	}
 }
 
-// TestLPRCutsAlphaFilterSound repeats the soundness sweep with the §4.3
-// filter enabled on the cut-augmented LP: exclusions must never let the
-// bound exceed the reduced optimum recomputed with excluded variables freed.
-func TestLPRCutsAlphaFilterSound(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for iter := 0; iter < 100; iter++ {
-		p := randomProblem(rng, 4+rng.Intn(4))
-		pool := cuts.NewPool(cuts.Config{Every: 1})
-		est := LPR{State: &LPRState{}, Cuts: pool, AlphaFilter: true}
-		e := engine.New(p)
-		if !decideRandom(e, rng, 1+rng.Intn(2)) {
-			continue
-		}
-		red := Extract(e)
-		if red.Infeasible {
-			continue
-		}
-		res := est.Estimate(e, red, p.Cost, p.TotalCost()+1, Budget{})
-		if res.Failed || res.Bound >= InfBound {
-			continue
-		}
-		opt, feasible := bruteReduced(red, p.Cost)
-		if feasible && res.Bound > opt {
-			t.Fatalf("iter %d: filtered bound %d > reduced optimum %d", iter, res.Bound, opt)
-		}
+// separateAtNextProbe advances pool's deep-node cadence so that the next
+// deep Probe, the one the coming Estimate makes, runs a separation round:
+// the sweep wants a round at every node, not at every few.
+func separateAtNextProbe(pool *cuts.Pool) {
+	for !pool.Probe(1) {
+	}
+	period := 1
+	for !pool.Probe(1) {
+		period++
+	}
+	for i := 1; i < period; i++ {
+		pool.Probe(1)
 	}
 }

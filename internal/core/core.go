@@ -82,8 +82,6 @@ type Options struct {
 	// MaxConflicts bounds the total number of conflicts (BCP + bound);
 	// 0 means unlimited.
 	MaxConflicts int64
-	// MaxDecisions bounds the number of decisions; 0 means unlimited.
-	MaxDecisions int64
 	// TimeLimit bounds wall-clock time; 0 means unlimited.
 	TimeLimit time.Duration
 
@@ -100,18 +98,11 @@ type Options struct {
 	// incumbents.
 	CardinalityInference bool
 
-	// BoundEvery computes the lower bound only at every k-th eligible node
-	// (default 1 = every node). Higher values trade pruning for speed.
-	BoundEvery int
-
 	// PBLearning additionally derives a cutting-plane (pseudo-Boolean)
 	// constraint at every conflict, Galena-style [4], alongside the 1UIP
 	// clause: the clause drives the backjump, the cutting plane adds
 	// pruning power.
 	PBLearning bool
-	// MaxPBLearned caps how many cutting-plane constraints are retained
-	// (default 20000); beyond the cap only clauses are learned.
-	MaxPBLearned int64
 
 	// LGRIterations bounds subgradient iterations per bound call
 	// (default 50; ablation A5).
@@ -121,12 +112,6 @@ type Options struct {
 	// paper's reference [12] — whose slow convergence the paper reports
 	// (ablation A5).
 	LGRColdStart bool
-	// LPRAlphaFilter applies the §4.3 α-filter to LP duals as well.
-	LPRAlphaFilter bool
-	// LPRZeroSlack uses the paper's literal §4.2 responsible set (all
-	// zero-slack rows of the LP solution) instead of the stronger
-	// positive-dual subset.
-	LPRZeroSlack bool
 
 	// RestartBase is the Luby restart unit in conflicts (default 128;
 	// 0 uses the default, negative disables restarts).
@@ -444,6 +429,11 @@ type solver struct {
 // hot profiles while staying far below human scrape granularity).
 const liveInterval = 50 * time.Millisecond
 
+// maxPBLearned caps how many cutting-plane constraints PB learning retains;
+// beyond the cap only clauses are learned. A variable so the package tests
+// can exercise the cap on small instances.
+var maxPBLearned int64 = 20000
+
 type cardSet struct {
 	inK []bool // per variable
 	v   int64  // sum of the U smallest costs within K
@@ -474,9 +464,6 @@ func Solve(p *pb.Problem, opt Options) Result {
 			Err: fmt.Errorf("core: worst-case objective %d exceeds solver headroom %d: %w",
 				tc, pb.MaxObjective, pb.ErrOverflow)}
 	}
-	if opt.BoundEvery <= 0 {
-		opt.BoundEvery = 1
-	}
 	s := &solver{prob: p, opt: opt, upper: upperInf, knapCut: -1,
 		aud: opt.Audit, minImportUB: upperInf, trace: opt.Trace}
 	s.trace.Emit(obs.EvSolveStart, opt.LowerBound.String(), int64(p.NumVars), int64(len(p.Constraints)), "")
@@ -501,7 +488,7 @@ func Solve(p *pb.Problem, opt Options) Result {
 		// just its basis.
 		defer s.lprState.Release()
 		if !opt.NoCuts {
-			s.cutPool = cuts.NewPool(cuts.Config{})
+			s.cutPool = cuts.NewPool()
 			// Every cut accepted into the pool is observable (trace) and
 			// replayable (audit): the pool feeds every subsequent node LP, so
 			// an invalid cut here corrupts the whole run — exactly what the
@@ -513,8 +500,7 @@ func Solve(p *pb.Problem, opt Options) Result {
 				}
 			}
 		}
-		s.est = bounds.LPR{AlphaFilter: opt.LPRAlphaFilter, ZeroSlackExplanations: opt.LPRZeroSlack,
-			State: s.lprState, Cuts: s.cutPool}
+		s.est = bounds.LPR{State: s.lprState, Cuts: s.cutPool}
 		s.fallback = bounds.MIS{}
 	default:
 		s.est = bounds.None{}
@@ -711,9 +697,6 @@ func (s *solver) budgetExpired() bool {
 		return true
 	}
 	if s.opt.MaxConflicts > 0 && s.stats.BoundConflicts+s.eng.Stats.Conflicts >= s.opt.MaxConflicts {
-		return true
-	}
-	if s.opt.MaxDecisions > 0 && s.eng.Stats.Decisions >= s.opt.MaxDecisions {
 		return true
 	}
 	if !s.hasDeadline && s.opt.Cancel == nil && s.opt.Live == nil {
@@ -1012,8 +995,7 @@ func (s *solver) search() Result {
 
 		// Lower bound estimation (§3) and bound conflict detection (§4).
 		fracX = nil
-		if hasObjective && s.upper < upperInf && s.opt.LowerBound != LBNone &&
-			s.nodeCounter%s.opt.BoundEvery == 0 {
+		if hasObjective && s.upper < upperInf && s.opt.LowerBound != LBNone {
 			red := s.reduce()
 			s.stats.BoundCalls++
 			res := s.estimate(red, s.upper-path)
@@ -1094,11 +1076,7 @@ func (s *solver) resolveConstraintConflict(confl int) bool {
 	for round := 0; ; round++ {
 		var cpTerms []pb.Term
 		var cpDegree int64
-		maxPB := s.opt.MaxPBLearned
-		if maxPB == 0 {
-			maxPB = 20000
-		}
-		if s.opt.PBLearning && s.stats.PBLearned < maxPB {
+		if s.opt.PBLearning && s.stats.PBLearned < maxPBLearned {
 			cpTerms, cpDegree = s.eng.AnalyzeCuttingPlane(confl)
 			// Cardinality detection: when the derived constraint is
 			// semantically a cardinality constraint (every solution set

@@ -21,18 +21,15 @@ func allConfigs() map[string]Options {
 		"lpr-chrono":      {LowerBound: LBLPR, ChronologicalBounds: true},
 		"mis-chrono":      {LowerBound: LBMIS, ChronologicalBounds: true},
 		"lgr-alpha":       {LowerBound: LBLGR, LGRIterations: 20},
-		"lpr-alphafilter": {LowerBound: LBLPR, LPRAlphaFilter: true},
 		"lpr-cardinf":     {LowerBound: LBLPR, CardinalityInference: true},
 		"lgr-cardinf":     {LowerBound: LBLGR, CardinalityInference: true},
 		"linear":          {Strategy: StrategyLinearSearch},
 		"linear-mis":      {Strategy: StrategyLinearSearch, LowerBound: LBMIS},
 		"plain-norestart": {LowerBound: LBNone, RestartBase: -1},
-		"lpr-every3":      {LowerBound: LBLPR, BoundEvery: 3},
 		"pb-learning":     {LowerBound: LBNone, PBLearning: true},
 		"linear-pblearn":  {Strategy: StrategyLinearSearch, PBLearning: true},
 		"lpr-pblearn":     {LowerBound: LBLPR, PBLearning: true},
 		"lgr-coldstart":   {LowerBound: LBLGR, LGRColdStart: true},
-		"lpr-zeroslack":   {LowerBound: LBLPR, LPRZeroSlack: true},
 	}
 }
 
@@ -192,20 +189,6 @@ func TestConflictBudgetReturnsLimit(t *testing.T) {
 	res := Solve(p, Options{MaxConflicts: 3})
 	if res.Status != StatusLimit {
 		t.Fatalf("status=%v want limit", res.Status)
-	}
-}
-
-func TestDecisionBudget(t *testing.T) {
-	p := pb.NewProblem(20)
-	for v := 0; v < 20; v++ {
-		p.SetCost(pb.Var(v), 1)
-	}
-	for v := 0; v < 19; v++ {
-		_ = p.AddClause(pb.PosLit(pb.Var(v)), pb.PosLit(pb.Var(v+1)))
-	}
-	res := Solve(p, Options{MaxDecisions: 2, LowerBound: LBNone})
-	if res.Status != StatusLimit && res.Status != StatusOptimal {
-		t.Fatalf("status=%v", res.Status)
 	}
 }
 

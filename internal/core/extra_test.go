@@ -103,10 +103,12 @@ func TestPBLearningStatsCounted(t *testing.T) {
 }
 
 func TestMaxPBLearnedCap(t *testing.T) {
+	defer func(saved int64) { maxPBLearned = saved }(maxPBLearned)
+	maxPBLearned = 3
 	rng := rand.New(rand.NewSource(45))
 	for iter := 0; iter < 20; iter++ {
 		p := randomPBO(rng, 10, 14)
-		res := Solve(p, Options{PBLearning: true, MaxPBLearned: 3, MaxConflicts: 50000})
+		res := Solve(p, Options{PBLearning: true, MaxConflicts: 50000})
 		if res.Stats.PBLearned > 3 {
 			t.Fatalf("cap violated: %d", res.Stats.PBLearned)
 		}

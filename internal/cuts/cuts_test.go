@@ -243,10 +243,11 @@ func TestDetectCardinality(t *testing.T) {
 }
 
 // TestPoolDedupAgingEviction exercises the pool mechanics: duplicate
-// hashing, the MaxPool eviction of the lowest-activity cut, id stability,
+// hashing, the pool-size eviction of the lowest-activity cut, id stability,
 // and the OnAdd hook.
 func TestPoolDedupAgingEviction(t *testing.T) {
-	p := NewPool(Config{MaxPool: 3, MaxPerRound: 100})
+	p := NewPool()
+	p.maxPool, p.maxPerRound = 3, 100
 	var seen []int64
 	p.OnAdd = func(terms []pb.Term, degree int64) { seen = append(seen, degree) }
 	mk := func(v int) Cut {
@@ -286,13 +287,14 @@ func TestPoolDedupAgingEviction(t *testing.T) {
 }
 
 // TestProbeCadence pins the fast path: root always separates; deep nodes
-// every cfg.Every-th estimation; nil pool never.
+// every p.every-th estimation; nil pool never.
 func TestProbeCadence(t *testing.T) {
 	var nilPool *Pool
 	if nilPool.Probe(0) || nilPool.Len() != 0 {
 		t.Fatalf("nil pool must be inert")
 	}
-	p := NewPool(Config{Every: 4})
+	p := NewPool()
+	p.every = 4
 	if !p.Probe(0) || !p.Probe(0) {
 		t.Fatalf("root estimations must always probe true")
 	}
@@ -308,10 +310,11 @@ func TestProbeCadence(t *testing.T) {
 }
 
 // TestSeparateRoundEndToEnd drives Pool.Separate on a row family where both
-// separators engage, and checks the MaxPerRound budget holds.
+// separators engage, and checks the per-round budget holds.
 func TestSeparateRoundEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	p := NewPool(Config{MaxPerRound: 5})
+	p := NewPool()
+	p.maxPerRound = 5
 	var srcs []Source
 	for i := 0; i < 40; i++ {
 		srcs = append(srcs, randomSource(rng, 10, i))
@@ -331,7 +334,7 @@ func TestSeparateRoundEndToEnd(t *testing.T) {
 		t.Fatalf("no cuts separated from 40 random rows")
 	}
 	if added > 5 {
-		t.Fatalf("MaxPerRound violated: %d", added)
+		t.Fatalf("per-round budget violated: %d", added)
 	}
 	c := p.Counters()
 	if c.Rounds != 1 || c.Separated != int64(added) || c.SepTime <= 0 {

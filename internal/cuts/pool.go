@@ -17,7 +17,10 @@ const activityDecay = 0.95
 // budget (Probe). It is not safe for concurrent use, matching the
 // single-threaded search loop that owns it.
 type Pool struct {
-	cfg  Config
+	// every, maxPool and maxPerRound are the budgets (NewPool sets the
+	// defaults; the package tests shrink them).
+	every, maxPool, maxPerRound int
+
 	est  int64 // non-root estimation ordinal (Probe cadence)
 	next int64 // next cut id (stable across evictions, never reused)
 
@@ -42,21 +45,15 @@ type poolCut struct {
 	activity float64
 }
 
-// NewPool returns an empty pool with cfg's defaults applied.
-func NewPool(cfg Config) *Pool {
+// NewPool returns an empty pool.
+func NewPool() *Pool {
 	return &Pool{
-		cfg:    cfg.withDefaults(),
-		byHash: make(map[uint64]int),
-		byID:   make(map[int64]int),
+		every:       defaultEvery,
+		maxPool:     defaultMaxPool,
+		maxPerRound: defaultMaxPerRound,
+		byHash:      make(map[uint64]int),
+		byID:        make(map[int64]int),
 	}
-}
-
-// MaxRounds returns the configured root fixpoint cap.
-func (p *Pool) MaxRounds() int {
-	if p == nil {
-		return 0
-	}
-	return p.cfg.MaxRounds
 }
 
 // Counters returns a snapshot of the pool's observability block.
@@ -80,18 +77,18 @@ func (p *Pool) Separate(rows []Source, frac func(pb.Lit) float64) int {
 	}
 	added := 0
 	for _, src := range rows {
-		if added >= p.cfg.MaxPerRound {
+		if added >= p.maxPerRound {
 			break
 		}
-		if cut, ok := separateCover(src, frac, p.cfg.MinViolation); ok {
+		if cut, ok := separateCover(src, frac, minViolation); ok {
 			if p.add(cut) {
 				added++
 			}
 		}
 	}
-	if added < p.cfg.MaxPerRound {
+	if added < p.maxPerRound {
 		p.graph.absorb(rows)
-		for _, cut := range p.graph.separate(frac, p.cfg.MinViolation, p.cfg.MaxPerRound-added) {
+		for _, cut := range p.graph.separate(frac, minViolation, p.maxPerRound-added) {
 			if p.add(cut) {
 				added++
 			}
@@ -123,7 +120,7 @@ func (p *Pool) add(c Cut) bool {
 		p.live[i].activity = 1 // still violated somewhere: keep it around
 		return false
 	}
-	for len(p.live) >= p.cfg.MaxPool {
+	for len(p.live) >= p.maxPool {
 		victim := 0
 		for i := 1; i < len(p.live); i++ {
 			if p.live[i].activity < p.live[victim].activity {

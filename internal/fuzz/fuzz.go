@@ -165,7 +165,7 @@ func Check(p *pb.Problem, budget int64) []Mismatch {
 	// problem's oracle and value-line round-trip. Any error in the fixing
 	// rules, the CostOffset bookkeeping, or the Lift mapping shows up as a
 	// presolve-vs-plain disagreement.
-	fx, ferr := preprocess.FixVariables(p, preprocess.DefaultFixOptions)
+	fx, ferr := preprocess.FixVariables(p)
 	if ferr != nil {
 		out = append(out, Mismatch{Config: "presolve", Detail: ferr.Error()})
 	} else {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/portfolio"
 	"repro/internal/preprocess"
 )
 
@@ -92,7 +93,8 @@ func ablationVariants(id AblationID) []ablationVariant {
 }
 
 // RunAblation executes one ablation over the given instances with per-run
-// budgets, returning one aggregate row per variant.
+// budgets, returning one aggregate row per variant. A variant solves as a
+// one-member race without a board, like a solo column of Run.
 func RunAblation(id AblationID, insts []Instance, timeLimit time.Duration, maxConflicts int64) []AblationResult {
 	var out []AblationResult
 	for _, variant := range ablationVariants(id) {
@@ -101,22 +103,20 @@ func RunAblation(id AblationID, insts []Instance, timeLimit time.Duration, maxCo
 		for _, inst := range insts {
 			prob := inst.Prob
 			if variant.pre {
-				if p2, info, err := preprocess.Apply(prob, preprocess.Options{
-					Probing: true, Strengthening: true, Subsumption: true,
-				}); err == nil && !info.ProvedUnsat {
+				if p2, info, err := preprocess.Apply(prob, preprocess.Options{Simplify: true}); err == nil && !info.ProvedUnsat {
 					prob = p2
 				}
 			}
 			opt := variant.opt
-			opt.TimeLimit = timeLimit
-			opt.MaxConflicts = maxConflicts
-			res := core.Solve(prob, opt)
+			opt.TimeLimit, opt.MaxConflicts = timeLimit, maxConflicts
+			var cell RunResult
+			fill(&cell, portfolio.SolveOpts(prob, []portfolio.Config{{Name: variant.name, Options: opt}},
+				portfolio.Options{NoSharing: true}))
 			row.Total++
-			if res.Status == core.StatusOptimal || res.Status == core.StatusSatisfiable ||
-				res.Status == core.StatusUnsat {
+			if cell.Solved {
 				row.Solved++
 			}
-			row.Decisions += res.Stats.Decisions
+			row.Decisions += cell.Decisions
 		}
 		row.Duration = time.Since(start)
 		out = append(out, row)

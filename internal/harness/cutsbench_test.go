@@ -57,7 +57,7 @@ func rootBound(b *testing.B, p *pb.Problem, withCuts bool) int64 {
 	red := bounds.Extract(e)
 	est := bounds.LPR{}
 	if withCuts {
-		est.Cuts = cuts.NewPool(cuts.Config{})
+		est.Cuts = cuts.NewPool()
 	}
 	res := est.Estimate(e, red, p.Cost, p.TotalCost()+1, bounds.Budget{})
 	if res.Failed || res.Incomplete {

@@ -378,7 +378,7 @@ func Run(inst Instance, id SolverID, lim Limits) RunResult {
 	}
 	prob := inst.Prob
 	if lim.Presolve {
-		if fx, err := preprocess.FixVariables(prob, preprocess.DefaultFixOptions); err != nil {
+		if fx, err := preprocess.FixVariables(prob); err != nil {
 			rr.Err = "presolve: " + err.Error()
 		} else {
 			prob, rr.FixedVars = fx.Problem, fx.NumFixed()

@@ -74,14 +74,6 @@ type Options struct {
 	TimeLimit time.Duration
 	// Cancel, when non-nil, stops the search as soon as it is closed.
 	Cancel <-chan struct{}
-	// Noise is the probability of a random (non-greedy) flip inside the
-	// selected row (0 = default 0.12; negative = greedy only).
-	Noise float64
-	// RestartInterval is the number of flips without a new best incumbent
-	// before the solver restarts — from the board's incumbent when one
-	// strictly better than its own exists, otherwise by perturbing its best
-	// known assignment (0 = default 4096; negative disables restarts).
-	RestartInterval int64
 	// Presolve runs preprocess.FixVariables first and searches the reduced
 	// space; incumbents are lifted back to the original variable space
 	// before publication (see the package comment).
@@ -148,7 +140,13 @@ type Stats struct {
 const upperInf = int64(math.MaxInt64 / 2)
 
 const (
-	defaultNoise           = 0.12
+	// noise is the probability of a random (non-greedy) flip inside the
+	// selected row.
+	noise = 0.12
+	// defaultRestartInterval is the number of flips without a new best
+	// incumbent before the solver restarts — from the board's incumbent
+	// when one strictly better than its own exists, otherwise by perturbing
+	// its best known assignment.
 	defaultRestartInterval = 4096
 	// checkEvery is the flip cadence of the deadline/cancel/board-UB poll.
 	checkEvery = 256
@@ -201,6 +199,10 @@ type solver struct {
 	expired      bool
 	satisfiable  bool
 
+	// restartInterval is defaultRestartInterval; the package tests shorten
+	// it.
+	restartInterval int64
+
 	trace *obs.Tracer
 }
 
@@ -219,15 +221,8 @@ func Solve(p *pb.Problem, opt Options) Result {
 // already decided (presolve error / presolve-proved-UNSAT). Split from Solve
 // so package tests can drive the flip loop and invariants directly.
 func newSolver(p *pb.Problem, opt Options) (*solver, Result) {
-	s := &solver{orig: p, prob: p, opt: opt, best: upperInf, boardUB: upperInf}
-	if opt.Noise == 0 {
-		s.opt.Noise = defaultNoise
-	} else if opt.Noise < 0 {
-		s.opt.Noise = 0
-	}
-	if opt.RestartInterval == 0 {
-		s.opt.RestartInterval = defaultRestartInterval
-	}
+	s := &solver{orig: p, prob: p, opt: opt, best: upperInf, boardUB: upperInf,
+		restartInterval: defaultRestartInterval}
 	if opt.TimeLimit > 0 {
 		s.deadline = time.Now().Add(opt.TimeLimit)
 		s.hasDeadline = true
@@ -236,7 +231,7 @@ func newSolver(p *pb.Problem, opt Options) (*solver, Result) {
 	s.rng = rand.New(rand.NewSource(mixSeed(opt.Seed)))
 
 	if opt.Presolve {
-		fx, err := preprocess.FixVariables(p, preprocess.DefaultFixOptions)
+		fx, err := preprocess.FixVariables(p)
 		if err != nil {
 			return nil, Result{Err: err, Stats: s.stats}
 		}
@@ -354,7 +349,7 @@ func (s *solver) run() {
 			}
 			continue
 		}
-		if s.opt.RestartInterval > 0 && s.sinceImprove >= s.opt.RestartInterval {
+		if s.sinceImprove >= s.restartInterval {
 			s.restart()
 			continue
 		}
@@ -508,7 +503,7 @@ func objViolation(cost, tgt int64) int64 {
 func (s *solver) violatedStep() {
 	ri := s.unsat[s.rng.Intn(len(s.unsat))]
 	lits := s.rows.RowLits(ri)
-	if s.opt.Noise > 0 && s.rng.Float64() < s.opt.Noise {
+	if s.rng.Float64() < noise {
 		s.flip(lits[s.rng.Intn(len(lits))].Var())
 		return
 	}
@@ -569,7 +564,7 @@ func (s *solver) objectiveStep() {
 	}
 	if bestGain <= 0 {
 		s.bumpWeights()
-		if s.opt.Noise > 0 && s.rng.Float64() < s.opt.Noise {
+		if s.rng.Float64() < noise {
 			// Noise escape: a random costed true variable instead.
 			var cands []pb.Var
 			for v := 0; v < s.prob.NumVars; v++ {

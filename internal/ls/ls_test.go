@@ -298,7 +298,7 @@ func TestRestartImportsBoardIncumbent(t *testing.T) {
 // final result must stay verified, and its incremental state exact.
 func TestBoardScrambleDuringRestarts(t *testing.T) {
 	p := randomPBO(rand.New(rand.NewSource(9)), 10, 8)
-	board := share.NewBoard(share.Config{})
+	board := share.NewBoard()
 	worker := board.JoinNoClauses("ls")
 	scrambler := board.Join("scrambler")
 
@@ -324,10 +324,11 @@ func TestBoardScrambleDuringRestarts(t *testing.T) {
 		}
 	}()
 
-	s, _ := newSolver(p, Options{Seed: 4, MaxFlips: 200_000, RestartInterval: 64, Share: worker})
+	s, _ := newSolver(p, Options{Seed: 4, MaxFlips: 200_000, Share: worker})
 	if s == nil {
 		t.Fatal("solver not built")
 	}
+	s.restartInterval = 64
 	s.run()
 	close(stop)
 	wg.Wait()

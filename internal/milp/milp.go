@@ -27,16 +27,6 @@ type Options struct {
 	MaxNodes int64
 	// TimeLimit bounds wall-clock time (0 = unlimited).
 	TimeLimit time.Duration
-	// LPIter bounds simplex iterations per node LP (0 = solver default).
-	LPIter int
-	// StrongBranching evaluates the child LPs of the most fractional
-	// candidates (up to StrongCandidates of them) and branches on the
-	// variable with the best worst-child bound — fewer nodes at a higher
-	// per-node cost, the classic MILP trade.
-	StrongBranching bool
-	// StrongCandidates caps how many fractional variables strong branching
-	// probes per node (default 4).
-	StrongCandidates int
 }
 
 // Status reports how the solve ended.
@@ -109,7 +99,7 @@ func Solve(p *pb.Problem, opt Options) Result {
 		deadline = time.Now().Add(opt.TimeLimit)
 	}
 
-	base := buildLP(p, opt.LPIter)
+	base := buildLP(p)
 	// The node LPs poll the same deadline: one root LP of a large instance
 	// can outlast the whole budget, and the node loop alone checks the
 	// clock only between LPs. A cut-short LP ends as IterLimit, which the
@@ -176,21 +166,12 @@ func Solve(p *pb.Problem, opt Options) Result {
 		}
 		// Integral?
 		branchVar, dist := -1, -1.0
-		var fracVars []int
 		for j := 0; j < n; j++ {
 			f := sol.X[j] - math.Floor(sol.X[j])
 			frac := math.Min(f, 1-f)
-			if frac > intTol {
-				fracVars = append(fracVars, j)
-				if frac > dist {
-					dist = frac
-					branchVar = j
-				}
-			}
-		}
-		if opt.StrongBranching && len(fracVars) > 1 {
-			if v := strongBranch(base, lo, hi, fracVars, sol.X, opt); v >= 0 {
-				branchVar = v
+			if frac > intTol && frac > dist {
+				dist = frac
+				branchVar = j
 			}
 		}
 		if branchVar < 0 {
@@ -219,61 +200,6 @@ func Solve(p *pb.Problem, opt Options) Result {
 		res.Status = StatusInfeasible
 	}
 	return res
-}
-
-// strongBranch probes the most fractional candidates: for each, solve both
-// child LPs and score by the worse child's objective (the bound improvement
-// a branch guarantees). Returns the best candidate, or -1 to fall back to
-// most-fractional.
-func strongBranch(base *lp.Problem, lo, hi []float64, fracVars []int, x []float64, opt Options) int {
-	cands := opt.StrongCandidates
-	if cands <= 0 {
-		cands = 4
-	}
-	// Order candidates by fractionality, keep the top few.
-	sortByFrac(fracVars, x)
-	if len(fracVars) > cands {
-		fracVars = fracVars[:cands]
-	}
-	best, bestScore := -1, math.Inf(-1)
-	for _, j := range fracVars {
-		score := math.Inf(1)
-		for _, fix := range []float64{0, 1} {
-			saveLo, saveHi := lo[j], hi[j]
-			lo[j], hi[j] = fix, fix
-			sol, err := lp.Solve(base)
-			lo[j], hi[j] = saveLo, saveHi
-			if err != nil {
-				return -1
-			}
-			child := math.Inf(1) // infeasible child: the branch fully decides j
-			if sol.Status == lp.Optimal {
-				child = sol.Objective
-			} else if sol.Status == lp.IterLimit {
-				child = sol.Objective // anytime estimate
-			}
-			if child < score {
-				score = child
-			}
-		}
-		if score > bestScore {
-			bestScore = score
-			best = j
-		}
-	}
-	return best
-}
-
-func sortByFrac(vars []int, x []float64) {
-	frac := func(j int) float64 {
-		f := x[j] - math.Floor(x[j])
-		return math.Min(f, 1-f)
-	}
-	for i := 1; i < len(vars); i++ {
-		for k := i; k > 0 && frac(vars[k]) > frac(vars[k-1]); k-- {
-			vars[k], vars[k-1] = vars[k-1], vars[k]
-		}
-	}
 }
 
 func pushChildren(q *nodeQueue, parent *node, v int, bound float64) {
@@ -314,11 +240,10 @@ func materialize(nd *node, lo, hi []float64, n int) {
 }
 
 // buildLP converts the PB problem's constraints to an x-space LP.
-func buildLP(p *pb.Problem, maxIter int) *lp.Problem {
+func buildLP(p *pb.Problem) *lp.Problem {
 	prob := &lp.Problem{
 		NumVars: p.NumVars,
 		Cost:    make([]float64, p.NumVars),
-		MaxIter: maxIter,
 	}
 	for v, c := range p.Cost {
 		prob.Cost[v] = float64(c)

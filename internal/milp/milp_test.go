@@ -115,44 +115,3 @@ func TestStatusString(t *testing.T) {
 		t.Fatal("strings")
 	}
 }
-
-func TestStrongBranchingAgreesAndSavesNodes(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	var plainNodes, strongNodes int64
-	for iter := 0; iter < 60; iter++ {
-		n := 6 + rng.Intn(8)
-		p := pb.NewProblem(n)
-		for v := 0; v < n; v++ {
-			p.SetCost(pb.Var(v), int64(1+rng.Intn(9)))
-		}
-		for i := 0; i < n; i++ {
-			var lits []pb.Lit
-			for v := 0; v < n; v++ {
-				if rng.Intn(3) == 0 {
-					lits = append(lits, pb.PosLit(pb.Var(v)))
-				}
-			}
-			if len(lits) == 0 {
-				lits = append(lits, pb.PosLit(pb.Var(rng.Intn(n))))
-			}
-			terms := make([]pb.Term, len(lits))
-			for k, l := range lits {
-				terms[k] = pb.Term{Coef: 1, Lit: l}
-			}
-			_ = p.AddConstraint(terms, pb.GE, 1)
-		}
-		a := Solve(p, Options{MaxNodes: 500000})
-		b := Solve(p, Options{MaxNodes: 500000, StrongBranching: true})
-		if a.Status != b.Status {
-			t.Fatalf("iter %d: status %v vs %v", iter, a.Status, b.Status)
-		}
-		if a.Status == StatusOptimal && a.Best != b.Best {
-			t.Fatalf("iter %d: best %d vs %d", iter, a.Best, b.Best)
-		}
-		plainNodes += a.Nodes
-		strongNodes += b.Nodes
-	}
-	if strongNodes > plainNodes {
-		t.Logf("strong branching used more nodes (%d vs %d) on this suite", strongNodes, plainNodes)
-	}
-}

@@ -242,12 +242,12 @@ func name(p *pb.Problem, v pb.Var) string {
 	return fmt.Sprintf("x%d", int(v)+1)
 }
 
-// validName reports whether s is an acceptable variable identifier: a
+// ValidName reports whether s is an acceptable variable identifier: a
 // letter or underscore followed by letters, digits or underscores. This is
 // the same class the writers emit (x<k>, user names, _n/_p synthetics), so
 // everything the package writes re-parses, and nothing that parses can
 // collide with the "-" false-literal marker of the value-line format.
-func validName(s string) bool {
+func ValidName(s string) bool {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		switch {
@@ -294,7 +294,7 @@ func parseTerms(toks []string, getVar func(string) pb.Var, lineNo int, products 
 			if litTok == "" {
 				return nil, fmt.Errorf("opb: line %d: empty literal", lineNo)
 			}
-			if !validName(litTok) {
+			if !ValidName(litTok) {
 				// Identifier syntax only: a stray operator token ("-", "=")
 				// must be a parse error, not a variable. (Differential-fuzzer
 				// finding: a variable literally named "-" survives solving

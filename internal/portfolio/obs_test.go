@@ -67,7 +67,7 @@ func TestPortfolioLiveScrapeDuringSolve(t *testing.T) {
 	}()
 	<-started // at least one concurrent scrape is guaranteed
 
-	res := SolveOpts(p, nil, Options{Registry: reg, Trace: tr, Board: share.NewBoard(share.Config{})})
+	res := SolveOpts(p, nil, Options{Registry: reg, Trace: tr, Board: share.NewBoard()})
 	close(stopScrape)
 	wg.Wait()
 

@@ -135,9 +135,9 @@ type Options struct {
 	// NoSharing disconnects the board entirely: members race in isolation.
 	// Required for the deterministic mode, sharing ablations and solo solves.
 	NoSharing bool
-	// Board is the fresh board the members join, built (and sized) by the
-	// caller, who may seed it with SeedIncumbent and read it mid-race; nil
-	// builds a default one. Ignored with NoSharing.
+	// Board is the fresh board the members join, built by the caller, who
+	// may seed it with SeedIncumbent and read it mid-race; nil builds one.
+	// Ignored with NoSharing.
 	Board *share.Board
 	// MaxConcurrent caps how many members run simultaneously; 0 selects
 	// GOMAXPROCS. Members beyond the cap wait their turn in config order.
@@ -254,7 +254,7 @@ func SolveOpts(p *pb.Problem, configs []Config, opts Options) Result {
 	if !opts.NoSharing {
 		board = opts.Board
 		if board == nil {
-			board = share.NewBoard(share.Config{})
+			board = share.NewBoard()
 		}
 		for i, cfg := range configs {
 			if cfg.UBOnly() || cfg.CoreGuided != nil {

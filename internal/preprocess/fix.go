@@ -29,27 +29,10 @@ package preprocess
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/engine"
 	"repro/internal/pb"
 )
-
-// FixOptions selects presolve fixing steps. The zero value applies only the
-// free root-propagation fixes; DefaultFixOptions enables everything.
-type FixOptions struct {
-	// Probing enables failed-literal probing (necessary assignments).
-	Probing bool
-	// Persistency enables the costed pure-polarity (roof-duality-style)
-	// fixing rule, iterated to fixpoint with row deactivation.
-	Persistency bool
-	// MaxProbeVars caps how many variables are probed (0 = all). Variables
-	// are probed in order of descending occurrence count.
-	MaxProbeVars int
-}
-
-// DefaultFixOptions enables probing and persistency fixing, unbounded.
-var DefaultFixOptions = FixOptions{Probing: true, Persistency: true}
 
 // Fixing is the result of FixVariables: the rewritten problem plus the
 // mapping back to the original variable space.
@@ -110,7 +93,7 @@ func (f *Fixing) Lift(values []bool) []bool {
 
 // FixVariables runs the presolve fixing pipeline on p (which is not
 // modified) and returns the reduced problem plus the variable mapping.
-func FixVariables(p *pb.Problem, opt FixOptions) (*Fixing, error) {
+func FixVariables(p *pb.Problem) (*Fixing, error) {
 	f := &Fixing{
 		fixedVal: make([]int8, p.NumVars),
 		origVars: p.NumVars,
@@ -125,27 +108,8 @@ func FixVariables(p *pb.Problem, opt FixOptions) (*Fixing, error) {
 	if e.SeedUnits() < 0 || e.Propagate() >= 0 {
 		return f.provedUnsat(), nil
 	}
-	if opt.Probing {
-		for _, v := range probeOrder(p, opt.MaxProbeVars) {
-			if e.Value(v) != engine.Unassigned {
-				continue
-			}
-			for _, probeLit := range []pb.Lit{pb.PosLit(v), pb.NegLit(v)} {
-				if e.Value(v) != engine.Unassigned {
-					break
-				}
-				e.Decide(probeLit)
-				conflict := e.Propagate() >= 0
-				e.BacktrackTo(0)
-				if !conflict {
-					continue
-				}
-				// Failed literal: ¬probeLit is necessary at the root.
-				if !e.Enqueue(probeLit.Neg(), engine.NoReason) || e.Propagate() >= 0 {
-					return f.provedUnsat(), nil
-				}
-			}
-		}
+	if _, ok := probeLiterals(e, probeOrder(p, 0), nil); !ok {
+		return f.provedUnsat(), nil
 	}
 	for i := 0; i < e.TrailSize(); i++ {
 		l := e.TrailLit(i)
@@ -160,55 +124,53 @@ func FixVariables(p *pb.Problem, opt FixOptions) (*Fixing, error) {
 	// Phase 2: costed persistency fixpoint. A row is active while its
 	// residual degree (degree minus fixed-true contributions) is positive;
 	// only active rows pin variables.
-	if opt.Persistency {
-		pos := make([]int, p.NumVars)
-		neg := make([]int, p.NumVars)
-		for {
-			f.Rounds++
-			for v := range pos {
-				pos[v], neg[v] = 0, 0
+	pos := make([]int, p.NumVars)
+	neg := make([]int, p.NumVars)
+	for {
+		f.Rounds++
+		for v := range pos {
+			pos[v], neg[v] = 0, 0
+		}
+		for _, c := range p.Constraints {
+			residual, infeasible := residualDegree(c, f.fixedVal)
+			if infeasible {
+				return f.provedUnsat(), nil
 			}
-			for _, c := range p.Constraints {
-				residual, infeasible := residualDegree(c, f.fixedVal)
-				if infeasible {
-					return f.provedUnsat(), nil
-				}
-				if residual <= 0 {
+			if residual <= 0 {
+				continue
+			}
+			for _, t := range c.Terms {
+				if f.fixedVal[t.Lit.Var()] >= 0 {
 					continue
 				}
-				for _, t := range c.Terms {
-					if f.fixedVal[t.Lit.Var()] >= 0 {
-						continue
-					}
-					if t.Lit.IsNeg() {
-						neg[t.Lit.Var()]++
-					} else {
-						pos[t.Lit.Var()]++
-					}
+				if t.Lit.IsNeg() {
+					neg[t.Lit.Var()]++
+				} else {
+					pos[t.Lit.Var()]++
 				}
 			}
-			changed := false
-			for v := 0; v < p.NumVars; v++ {
-				if f.fixedVal[v] >= 0 {
-					continue
-				}
-				switch {
-				case pos[v] == 0:
-					// Only ¬v remains (or v is unconstrained): v=0 helps
-					// every active row and pays nothing (cost ≥ 0).
-					f.fixedVal[v] = 0
-					f.PersistencyFixed++
-					changed = true
-				case neg[v] == 0 && p.Cost[v] == 0:
-					// Only v remains and raising it is free.
-					f.fixedVal[v] = 1
-					f.PersistencyFixed++
-					changed = true
-				}
+		}
+		changed := false
+		for v := 0; v < p.NumVars; v++ {
+			if f.fixedVal[v] >= 0 {
+				continue
 			}
-			if !changed {
-				break
+			switch {
+			case pos[v] == 0:
+				// Only ¬v remains (or v is unconstrained): v=0 helps
+				// every active row and pays nothing (cost ≥ 0).
+				f.fixedVal[v] = 0
+				f.PersistencyFixed++
+				changed = true
+			case neg[v] == 0 && p.Cost[v] == 0:
+				// Only v remains and raising it is free.
+				f.fixedVal[v] = 1
+				f.PersistencyFixed++
+				changed = true
 			}
+		}
+		if !changed {
+			break
 		}
 	}
 
@@ -299,29 +261,4 @@ func residualDegree(c *pb.Constraint, fixedVal []int8) (residual int64, infeasib
 		}
 	}
 	return residual, residual > 0 && !anyLive
-}
-
-// probeOrder returns variables ordered by descending occurrence count,
-// optionally truncated.
-func probeOrder(p *pb.Problem, maxVars int) []pb.Var {
-	occ := make([]int, p.NumVars)
-	for _, c := range p.Constraints {
-		for _, t := range c.Terms {
-			occ[t.Lit.Var()]++
-		}
-	}
-	order := make([]pb.Var, p.NumVars)
-	for v := range order {
-		order[v] = pb.Var(v)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if occ[order[a]] != occ[order[b]] {
-			return occ[order[a]] > occ[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	if maxVars > 0 && len(order) > maxVars {
-		order = order[:maxVars]
-	}
-	return order
 }

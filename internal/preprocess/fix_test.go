@@ -33,7 +33,7 @@ func TestFixVariablesPreservesOptimum(t *testing.T) {
 		n := 3 + rng.Intn(5)
 		p := randomFixProblem(rng, n)
 		orig := pb.BruteForce(p)
-		f, err := FixVariables(p, DefaultFixOptions)
+		f, err := FixVariables(p)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
@@ -81,7 +81,7 @@ func TestFixVariablesMapping(t *testing.T) {
 	rng := rand.New(rand.NewSource(789))
 	for iter := 0; iter < 100; iter++ {
 		p := randomFixProblem(rng, 4+rng.Intn(4))
-		f, err := FixVariables(p, DefaultFixOptions)
+		f, err := FixVariables(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestFixVariablesPersistency(t *testing.T) {
 	_ = p.AddConstraint([]pb.Term{
 		{Coef: 1, Lit: pb.NegLit(0)}, {Coef: 1, Lit: pb.PosLit(2)},
 	}, pb.GE, 1)
-	f, err := FixVariables(p, FixOptions{Persistency: true})
+	f, err := FixVariables(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestFixVariablesCostOffset(t *testing.T) {
 	_ = p.AddConstraint([]pb.Term{
 		{Coef: 1, Lit: pb.PosLit(1)}, {Coef: 1, Lit: pb.NegLit(0)},
 	}, pb.GE, 1)
-	f, err := FixVariables(p, DefaultFixOptions)
+	f, err := FixVariables(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestFixVariablesUnsat(t *testing.T) {
 	_ = p.AddClause(pb.PosLit(0), pb.NegLit(1))
 	_ = p.AddClause(pb.NegLit(0), pb.PosLit(1))
 	_ = p.AddClause(pb.NegLit(0), pb.NegLit(1))
-	f, err := FixVariables(p, DefaultFixOptions)
+	f, err := FixVariables(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestFixVariablesNamesPreserved(t *testing.T) {
 	_ = p.AddConstraint([]pb.Term{
 		{Coef: 1, Lit: pb.NegLit(1)}, {Coef: 1, Lit: pb.PosLit(2)},
 	}, pb.GE, 1)
-	f, err := FixVariables(p, FixOptions{Probing: true})
+	f, err := FixVariables(p)
 	if err != nil {
 		t.Fatal(err)
 	}

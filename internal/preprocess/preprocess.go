@@ -29,18 +29,14 @@ import (
 
 // Options selects preprocessing steps. The zero value applies nothing.
 type Options struct {
-	// Probing enables failed-literal detection (necessary assignments).
-	Probing bool
-	// Strengthening adds binary implication clauses discovered by probing.
-	Strengthening bool
-	// Subsumption removes clauses subsumed by shorter ones.
-	Subsumption bool
+	// Simplify removes clauses subsumed by shorter ones, then probes:
+	// failed literals fix their negation (necessary assignments), and the
+	// implications the other probes discover are added as binary clauses,
+	// at most 4× the constraint count of them.
+	Simplify bool
 	// MaxProbeVars caps how many variables are probed (0 = all). Variables
 	// are probed in order of descending occurrence count.
 	MaxProbeVars int
-	// MaxImplications caps how many implication clauses may be added
-	// (default 4× the constraint count; negative = unlimited).
-	MaxImplications int
 	// CoverReductions applies the covering-problem reductions of
 	// internal/cover (essential columns, row/column dominance) to the unate
 	// part of the instance before probing. Optimum-preserving but not
@@ -91,12 +87,9 @@ func Apply(p *pb.Problem, opt Options) (*pb.Problem, Info, error) {
 		info.CardinalityNormalized = normalizeCardinalities(out)
 	}
 
-	if opt.Subsumption {
+	if opt.Simplify {
 		info.SubsumedRemoved = subsume(out)
-	}
-
-	if opt.Probing || opt.Strengthening {
-		if err := probe(out, opt, &info); err != nil {
+		if err := probe(out, opt.MaxProbeVars, &info); err != nil {
 			return nil, info, err
 		}
 	}
@@ -189,13 +182,78 @@ func subsume(p *pb.Problem) int {
 }
 
 // probe runs failed-literal probing and implication strengthening.
-func probe(p *pb.Problem, opt Options, info *Info) error {
-	maxImpl := opt.MaxImplications
-	if maxImpl == 0 {
-		maxImpl = 4 * len(p.Constraints)
+func probe(p *pb.Problem, maxProbeVars int, info *Info) error {
+	maxImpl := 4 * len(p.Constraints)
+	e := engine.New(p)
+	if e.SeedUnits() < 0 || e.Propagate() >= 0 {
+		info.ProvedUnsat = true
+		markUnsat(p)
+		return nil
 	}
 
-	// Probe order: variables by descending occurrence count.
+	type implication struct{ from, to pb.Lit }
+	var impls []implication
+	fixed, ok := probeLiterals(e, probeOrder(p, maxProbeVars), func(lit pb.Lit, from int) {
+		for i := from; i < e.TrailSize() && len(impls) < maxImpl; i++ {
+			impls = append(impls, implication{lit, e.TrailLit(i)})
+		}
+	})
+	info.FixedLiterals = len(fixed)
+	if !ok {
+		info.ProvedUnsat = true
+		markUnsat(p)
+		return nil
+	}
+
+	for _, l := range fixed {
+		if err := p.AddClause(l); err != nil {
+			return fmt.Errorf("preprocess: fixing literal: %w", err)
+		}
+	}
+	for _, im := range impls {
+		if err := p.AddClause(im.from.Neg(), im.to); err != nil {
+			return fmt.Errorf("preprocess: implication clause: %w", err)
+		}
+		info.Implications++
+	}
+	return nil
+}
+
+// probeLiterals decides each unassigned variable of order both ways on e,
+// which must be at a conflict-free root fixpoint. A literal whose
+// propagation conflicts has failed: its negation is fixed at the root,
+// propagated, and returned in fixed. After each literal that does not fail,
+// implied (when non-nil) runs before the backtrack with the decision and
+// the trail position just past it, where the literals it implies start. ok
+// is false when a fixed negation conflicts: the instance is unsatisfiable.
+func probeLiterals(e *engine.Engine, order []pb.Var, implied func(lit pb.Lit, from int)) (fixed []pb.Lit, ok bool) {
+	for _, v := range order {
+		for _, lit := range []pb.Lit{pb.PosLit(v), pb.NegLit(v)} {
+			if e.Value(v) != engine.Unassigned {
+				break
+			}
+			base := e.TrailSize()
+			e.Decide(lit)
+			if e.Propagate() < 0 {
+				if implied != nil {
+					implied(lit, base+1)
+				}
+				e.BacktrackTo(0)
+				continue
+			}
+			e.BacktrackTo(0)
+			if !e.Enqueue(lit.Neg(), engine.NoReason) || e.Propagate() >= 0 {
+				return fixed, false
+			}
+			fixed = append(fixed, lit.Neg())
+		}
+	}
+	return fixed, true
+}
+
+// probeOrder returns variables ordered by descending occurrence count,
+// truncated to maxVars when it is positive.
+func probeOrder(p *pb.Problem, maxVars int) []pb.Var {
 	occ := make([]int, p.NumVars)
 	for _, c := range p.Constraints {
 		for _, t := range c.Terms {
@@ -212,74 +270,10 @@ func probe(p *pb.Problem, opt Options, info *Info) error {
 		}
 		return order[a] < order[b]
 	})
-	if opt.MaxProbeVars > 0 && len(order) > opt.MaxProbeVars {
-		order = order[:opt.MaxProbeVars]
+	if maxVars > 0 && len(order) > maxVars {
+		order = order[:maxVars]
 	}
-
-	e := engine.New(p)
-	if e.SeedUnits() < 0 || e.Propagate() >= 0 {
-		info.ProvedUnsat = true
-		markUnsat(p)
-		return nil
-	}
-
-	type implication struct{ from, to pb.Lit }
-	var impls []implication
-	var fixed []pb.Lit
-
-	for _, v := range order {
-		if e.Value(v) != engine.Unassigned {
-			continue
-		}
-		for _, probeLit := range []pb.Lit{pb.PosLit(v), pb.NegLit(v)} {
-			if e.Value(v) != engine.Unassigned {
-				break
-			}
-			base := e.TrailSize()
-			e.Decide(probeLit)
-			if e.Propagate() >= 0 {
-				// Failed literal: ¬probeLit is necessary.
-				e.BacktrackTo(0)
-				if opt.Probing {
-					if !e.Enqueue(probeLit.Neg(), engine.NoReason) {
-						info.ProvedUnsat = true
-						markUnsat(p)
-						return nil
-					}
-					if e.Propagate() >= 0 {
-						info.ProvedUnsat = true
-						markUnsat(p)
-						return nil
-					}
-					fixed = append(fixed, probeLit.Neg())
-					info.FixedLiterals++
-				}
-				continue
-			}
-			if opt.Strengthening && len(impls) < maxImpl {
-				for i := base + 1; i < e.TrailSize(); i++ {
-					impls = append(impls, implication{probeLit, e.TrailLit(i)})
-					if len(impls) >= maxImpl {
-						break
-					}
-				}
-			}
-			e.BacktrackTo(0)
-		}
-	}
-
-	for _, l := range fixed {
-		if err := p.AddClause(l); err != nil {
-			return fmt.Errorf("preprocess: fixing literal: %w", err)
-		}
-	}
-	for _, im := range impls {
-		if err := p.AddClause(im.from.Neg(), im.to); err != nil {
-			return fmt.Errorf("preprocess: implication clause: %w", err)
-		}
-		info.Implications++
-	}
-	return nil
+	return order
 }
 
 // markUnsat appends an explicit contradiction (empty constraint of positive

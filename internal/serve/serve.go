@@ -515,7 +515,7 @@ func (s *Server) solveGuarded(j *Job, sess *session) (out solveOutcome) {
 		o := &configs[i].Options
 		o.TimeLimit, o.OnIncumbent, o.Live = rem, j.recordIncumbent, j.live
 	}
-	board := share.NewBoard(share.Config{})
+	board := share.NewBoard()
 	portfolio.SeedIncumbent(board, j.prob, warm)
 	j.setBoard(board)
 	pres := portfolio.SolveOpts(j.prob, configs, portfolio.Options{

@@ -21,7 +21,7 @@ func lits(vs ...int) []pb.Lit {
 }
 
 func TestIncumbentBoard(t *testing.T) {
-	b := NewBoard(Config{})
+	b := NewBoard()
 	a, c := b.Join("a"), b.Join("c")
 	if _, ok := b.BestUB(); ok {
 		t.Fatal("fresh board has an upper bound")
@@ -62,7 +62,8 @@ func TestIncumbentBoard(t *testing.T) {
 }
 
 func TestClauseFiltersAndDedup(t *testing.T) {
-	b := NewBoard(Config{MaxLen: 3, MaxLBD: 2})
+	b := NewBoard()
+	b.maxLen, b.maxLBD = 3, 2
 	m := b.Join("m")
 	if m.PublishClause(lits(0, 1, 2, 3), 1) {
 		t.Fatal("over-length clause accepted")
@@ -89,7 +90,7 @@ func TestClauseFiltersAndDedup(t *testing.T) {
 }
 
 func TestDrainSkipsOwnAndDeliversForeign(t *testing.T) {
-	b := NewBoard(Config{})
+	b := NewBoard()
 	a, c := b.Join("a"), b.Join("c")
 	a.PublishClause(lits(0, 1), 1)
 	c.PublishClause(lits(2, 3), 1)
@@ -113,7 +114,7 @@ func TestDrainSkipsOwnAndDeliversForeign(t *testing.T) {
 }
 
 func TestRingLapAccounting(t *testing.T) {
-	b := NewBoard(Config{Capacity: 4})
+	b := newBoard(4)
 	pub := b.Join("pub")
 	slow := b.Join("slow")
 	for v := 0; v < 10; v++ {
@@ -132,7 +133,7 @@ func TestRingLapAccounting(t *testing.T) {
 }
 
 func TestDedupWindowReopensAfterLap(t *testing.T) {
-	b := NewBoard(Config{Capacity: 4})
+	b := newBoard(4)
 	m := b.Join("m")
 	if !m.PublishClause(lits(0, 1), 1) {
 		t.Fatal("initial publish rejected")
@@ -146,7 +147,7 @@ func TestDedupWindowReopensAfterLap(t *testing.T) {
 }
 
 func TestConcurrentPublishDrain(t *testing.T) {
-	b := NewBoard(Config{Capacity: 128})
+	b := newBoard(128)
 	const members = 4
 	var wg sync.WaitGroup
 	for id := 0; id < members; id++ {
@@ -180,7 +181,7 @@ func TestConcurrentPublishDrain(t *testing.T) {
 
 func TestChaosCorruptShapes(t *testing.T) {
 	defer fault.Reset()
-	b := NewBoard(Config{})
+	b := NewBoard()
 	pub, sub := b.Join("pub"), b.Join("sub")
 
 	check := func(value float64, wantLen int, desc string) {
@@ -222,7 +223,7 @@ func TestChaosCorruptShapes(t *testing.T) {
 }
 
 func TestNoClausesMemberExcludedFromLapAccounting(t *testing.T) {
-	b := NewBoard(Config{Capacity: 4})
+	b := newBoard(4)
 	pub := b.Join("pub")
 	ub := b.JoinNoClauses("ls")
 	drainer := b.Join("drainer")

@@ -193,11 +193,6 @@ type Options struct {
 	// MaxConflicts bounds the total BCP conflicts across iterations (0 =
 	// none); each sub-solve receives the remaining budget.
 	MaxConflicts int64
-	// MaxIterations bounds relaxation rounds (0 = none); mostly for tests.
-	MaxIterations int
-	// NoCardRewrite disables the semantic-cardinality normalization pass
-	// (cuts.DetectCardinality) on the compiled rows of each iteration.
-	NoCardRewrite bool
 	// OnIterate, when non-nil, observes each extracted core: iteration
 	// number, core size, and the lower bound after accounting it (including
 	// the instance Offset).
@@ -270,10 +265,6 @@ func Solve(in *Instance, opt Options) Result {
 	lb := int64(0) // accumulated core weight, excluding Offset
 
 	for {
-		if opt.MaxIterations > 0 && res.Iterations >= opt.MaxIterations {
-			res.Status = core.StatusLimit
-			return res
-		}
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
 			res.Status = core.StatusLimit
 			return res
@@ -311,9 +302,7 @@ func Solve(in *Instance, opt Options) Result {
 		for i := range p.Cost {
 			p.Cost[i] = 0
 		}
-		if !opt.NoCardRewrite {
-			res.CardRewrites += normalizeCardinality(p)
-		}
+		res.CardRewrites += normalizeCardinality(p)
 
 		sub := core.Options{Assumptions: assumptions, Cancel: opt.Cancel}
 		if !deadline.IsZero() {

@@ -33,6 +33,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/opb"
 	"repro/internal/pb"
 	"repro/internal/wbo"
 )
@@ -221,7 +222,7 @@ func ParseWBO(r io.Reader) (*wbo.Instance, error) {
 		if v, ok := vars[name]; ok {
 			return v, nil
 		}
-		if !validName(name) {
+		if !opb.ValidName(name) {
 			return 0, fmt.Errorf("wbo: bad variable name %q", name)
 		}
 		v := pb.Var(in.NumVars)
@@ -441,24 +442,4 @@ func parseTerms(toks []string, getVar func(string) (pb.Var, error), lineNo int) 
 		i++
 	}
 	return terms, nil
-}
-
-// validName matches OPB identifiers: a letter or '_' followed by letters,
-// digits or '_'.
-func validName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i, r := range s {
-		switch {
-		case r == '_', r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z':
-		case r >= '0' && r <= '9':
-			if i == 0 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
 }
